@@ -3,16 +3,15 @@
 The demand-driven literature's selling point is footprint: answering one
 ``pts(v)`` query explores only ``v``'s backward flow slice.  On the jython
 analog (the largest program, ~1,600 methods), client-style queries (box
-contents, strategy results) each visit a small fraction of the program's
-variables while returning exactly the whole-program insensitive answer —
-whereas an all-points client would issue thousands of such queries, which
-is the regime where the paper's introspective analysis (one two-pass run)
-is the right tool.
+contents, strategy results) each solve a slice holding a small fraction of
+the program's variables while returning exactly the whole-program
+insensitive answer — whereas an all-points client would issue thousands of
+such queries, which is the regime where the paper's introspective analysis
+(one two-pass run) is the right tool.  The demand side is the
+:class:`~repro.query.QueryEngine` under the ``insens`` flavor.
 """
 
-import pytest
-
-from repro.baselines import DemandPointsTo
+from repro.query import QueryEngine
 
 
 QUERIES = [
@@ -26,8 +25,8 @@ QUERIES = [
 def run_queries(cache):
     program, facts = cache.program("jython")
     insens = cache.insens("jython")
-    engine = DemandPointsTo.from_insensitive_result(program, facts, insens)
-    answers = {var: engine.query(var) for var in QUERIES}
+    engine = QueryEngine(program, facts=facts, insens=insens)
+    answers = {var: engine.query(var, "insens") for var in QUERIES}
     return facts, insens, answers
 
 
@@ -38,18 +37,17 @@ def test_demand_footprint(benchmark, cache):
     total_vars = len(facts.varinmeth)
     print()
     for var, answer in answers.items():
-        fraction = answer.visited_variables / total_vars
         print(
             f"{var:35s} {len(answer.points_to)} heaps, "
-            f"{answer.visited_variables}/{total_vars} vars "
-            f"({100 * fraction:.1f}%)"
+            f"{answer.slice_variables}/{total_vars} vars "
+            f"({100 * answer.footprint:.1f}%)"
         )
         # exactness against the whole-program insensitive result
         expected = frozenset(insens.var_points_to.get(var, set()))
         assert answer.points_to == expected, var
         # footprint: a genuine slice, not the whole program
-        assert fraction < 0.25, var
+        assert answer.footprint < 0.25, var
 
     # client-style queries together still cover a minority of the program
-    union = max(a.visited_variables for a in answers.values())
+    union = max(a.slice_variables for a in answers.values())
     assert union < total_vars / 2

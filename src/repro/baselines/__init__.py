@@ -1,6 +1,8 @@
-"""Baseline techniques the paper compares against (Section 5)."""
+"""Baseline techniques the paper compares against (Section 5).
 
-from .demand import DemandAnswer, DemandPointsTo
+The demand-driven comparator is the query engine, :mod:`repro.query`.
+"""
+
 from .pruning import (
     PruningOutcome,
     build_pruned_program,
@@ -10,8 +12,6 @@ from .pruning import (
 )
 
 __all__ = [
-    "DemandAnswer",
-    "DemandPointsTo",
     "PruningOutcome",
     "build_pruned_program",
     "keep_set",

@@ -132,6 +132,10 @@ class ClusterCoordinator:
         self._m_journal_bytes = t.gauge(
             "repro_cluster_journal_bytes", "Job journal size on disk."
         )
+        self._m_journal_failures = t.counter(
+            "repro_cluster_journal_write_failures_total",
+            "Journal appends that failed with an OSError, by record type.",
+        )
         self._m_requeues = t.counter(
             "repro_cluster_requeues_total",
             "Jobs requeued after their worker was lost.",
@@ -187,6 +191,7 @@ class ClusterCoordinator:
         except OSError:
             # A full disk must not turn a finished job into a crashed
             # coordinator; the cost is a possible replay after restart.
+            self._m_journal_failures.inc(type=type)
             return
         self._m_journal_records.inc(type=type)
         self._m_journal_bytes.set(self.journal.size_bytes())

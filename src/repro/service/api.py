@@ -143,6 +143,10 @@ class AnalysisService:
             "repro_service_query_slice_vars",
             "Planned slice size per answered demand query (variables).",
         )
+        self._m_receipt_failures = t.counter(
+            "repro_service_receipt_write_failures_total",
+            "Job receipts that could not be written to --receipt-dir.",
+        )
 
         self.queue = JobQueue()
         self.pool = WorkerPool(workers)
@@ -391,10 +395,11 @@ class AnalysisService:
         ):
             # Every completed uncached job leaves a perf receipt in the
             # results warehouse (docs/warehouse.md).  Best-effort: a full
-            # disk must not turn a finished job into a failed one.  The
-            # terminal state is stamped into the snapshot by hand because
-            # job.state flips only below: once a poller can observe DONE,
-            # the receipt must already be on disk.
+            # disk must not turn a finished job into a failed one, so a
+            # failed write is only counted.  The terminal state is
+            # stamped into the snapshot by hand because job.state flips
+            # only below: once a poller can observe DONE, the receipt
+            # must already be on disk.
             try:
                 from ..warehouse import receipt_from_service_job, write_receipt
 
@@ -405,7 +410,7 @@ class AnalysisService:
                     self.receipt_dir,
                 )
             except Exception:  # noqa: BLE001 - receipts are advisory
-                pass
+                self._m_receipt_failures.inc()
         if self.cluster is not None:
             # Journal the terminal transition before the state flip: a
             # replay after a crash must never resurrect a job whose

@@ -7,12 +7,13 @@ makes worker-loss interleavings deterministic.
 
 from __future__ import annotations
 
+import errno
 import time
 
 import pytest
 
 from repro.cluster import Backpressure, ClusterConfig
-from repro.cluster.journal import read_journal
+from repro.cluster.journal import JobJournal, read_journal
 from repro.service import AnalysisService, JobSpec, JobState
 
 
@@ -186,6 +187,40 @@ class TestLeases:
             assert job.result["worker"]["id"] == fresh["id"]
             assert len(list(receipt_dir.glob("*.json"))) == 1
             assert service.cluster._m_completions.value(outcome="stale") == 1
+        finally:
+            service.stop()
+
+    def test_failed_done_append_is_counted_and_job_finalizes_once(
+        self, tmp_path, monkeypatch
+    ):
+        receipt_dir = tmp_path / "receipts"
+        service = make_service(tmp_path)
+        service.receipt_dir = str(receipt_dir)
+        real_append = JobJournal.append
+
+        def append(self, type, **fields):
+            if type == "done":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_append(self, type, **fields)
+
+        monkeypatch.setattr(JobJournal, "append", append)
+        try:
+            job = service.submit(make_spec())
+            worker = service.cluster.register_worker("http://127.0.0.1:9")
+            leased = service.cluster.lease(worker["id"])
+            assert service.cluster.complete(
+                worker["id"], job.id, done_payload(leased["facts_digest"])
+            )
+            assert job.state == JobState.DONE
+            assert service._m_jobs.value(state=JobState.DONE) == 1
+            assert len(list(receipt_dir.glob("*.json"))) == 1
+            failures = service.cluster._m_journal_failures
+            assert failures.value(type="done") == 1
+            assert failures.total() == 1
+            assert (
+                'repro_cluster_journal_write_failures_total{type="done"} 1'
+                in service.telemetry.render()
+            )
         finally:
             service.stop()
 

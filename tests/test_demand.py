@@ -1,17 +1,18 @@
-"""Tests for the demand-driven points-to baseline.
+"""Tests for the demand-driven points-to comparator (Section 5).
 
-The headline property: on catch-free programs, a demand query returns
-*exactly* the whole-program context-insensitive points-to set of the
-queried variable — checked on the fixture programs and property-based over
-random programs — while visiting only the variable's backward slice.
+The comparator is the query engine under the ``insens`` flavor.  The
+headline property: a demand query returns *exactly* the whole-program
+context-insensitive points-to set of the queried variable — checked on
+the fixture programs, on exception flow through catch handlers, and
+property-based over random programs — while solving only the variable's
+backward slice.
 """
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import ProgramBuilder, analyze, encode_program
-from repro.baselines.demand import DemandPointsTo
+from repro.query import QueryEngine
 from tests.conftest import (
     build_box_program,
     build_kitchen_sink_program,
@@ -22,9 +23,11 @@ from tests.conftest import (
 def make_engine(program):
     facts = encode_program(program)
     insens = analyze(program, "insens", facts=facts)
-    return facts, insens, DemandPointsTo.from_insensitive_result(
-        program, facts, insens
-    )
+    return facts, insens, QueryEngine(program, facts=facts, insens=insens)
+
+
+def demand(engine, var):
+    return engine.query(var, "insens").points_to
 
 
 @pytest.mark.parametrize(
@@ -36,16 +39,15 @@ def test_demand_equals_whole_program(builder):
     program = builder()
     facts, insens, engine = make_engine(program)
     for var, expected in insens.var_points_to.items():
-        answer = engine.query(var)
-        assert answer.points_to == frozenset(expected), var
+        assert demand(engine, var) == frozenset(expected), var
     # and vars with empty points-to stay empty
     for var, meth in facts.varinmeth:
         if meth in insens.reachable_methods and var not in insens.var_points_to:
-            assert engine.query(var).points_to == frozenset(), var
+            assert demand(engine, var) == frozenset(), var
 
 
 def test_footprint_is_a_slice():
-    """Querying one box's content must not visit unrelated pattern code."""
+    """Querying one box's content must not pull in unrelated pattern code."""
     from repro.benchgen import BenchmarkSpec, HubSpec, generate
 
     spec = BenchmarkSpec(
@@ -58,13 +60,12 @@ def test_footprint_is_a_slice():
         hubs=(HubSpec(readers=10, elements=10, chain=4),),
     )
     program = generate(spec)
-    facts, insens, engine = make_engine(program)
-    total_vars = len(facts.varinmeth)
-    answer = engine.query("BoxDriver0.drive/0/g0")
+    _facts, insens, engine = make_engine(program)
+    answer = engine.query("BoxDriver0.drive/0/g0", "insens")
     assert answer.points_to == frozenset(
         insens.var_points_to["BoxDriver0.drive/0/g0"]
     )
-    assert answer.visited_variables < total_vars / 5
+    assert answer.footprint < 0.2
 
 
 def test_dispatch_filter_matches_solver():
@@ -83,15 +84,15 @@ def test_dispatch_filter_matches_solver():
         m.vcall("x", "me", [], target="r")
     program = b.build(entry="Main.main/0")
     _facts, insens, engine = make_engine(program)
-    assert engine.query("A.me/0/this").points_to == frozenset(
-        {"Main.main/0/new A/0"}
-    )
-    assert engine.query("A.me/0/this").points_to == frozenset(
+    assert demand(engine, "A.me/0/this") == frozenset({"Main.main/0/new A/0"})
+    assert demand(engine, "A.me/0/this") == frozenset(
         insens.var_points_to["A.me/0/this"]
     )
 
 
 def test_catch_query_over_approximates():
+    """A handler in the caller sees the callee's thrown heap: the demand
+    answer covers the whole-program one, and is in fact exactly it."""
     b = ProgramBuilder()
     b.klass("Exc")
     with b.method("Lib", "boom", [], static=True) as m:
@@ -102,14 +103,16 @@ def test_catch_query_over_approximates():
         m.catch("h", "Exc")
     program = b.build(entry="Main.main/0")
     _facts, insens, engine = make_engine(program)
-    demand = engine.query("Main.main/0/h").points_to
-    assert demand >= frozenset(insens.var_points_to["Main.main/0/h"])
+    answer = demand(engine, "Main.main/0/h")
+    whole = frozenset(insens.var_points_to["Main.main/0/h"])
+    assert answer >= whole
+    assert answer == whole == frozenset({"Lib.boom/0/new Exc/0"})
 
 
 def test_exception_slop_attributes_the_catch_over_approximation():
-    """`exception_slop` counts exactly the heaps the every-throw catch
-    edge added — here a heap the real analysis intercepts mid-chain —
-    so query-vs-exhaustive deltas stay attributable."""
+    """Exception flow is answered exactly, so a handler that intercepts
+    the exception mid-chain leaves nothing for the outer handler: the
+    demand answer carries no heap beyond the whole-program one."""
     b = ProgramBuilder()
     b.klass("Exc")
     with b.method("Lib", "boom", [], static=True) as m:
@@ -123,40 +126,23 @@ def test_exception_slop_attributes_the_catch_over_approximation():
         m.catch("h", "Exc")
     program = b.build(entry="Main.main/0")
     _facts, insens, engine = make_engine(program)
-    answer = engine.query("Main.main/0/h")
-    whole = frozenset(insens.var_points_to.get("Main.main/0/h", ()))
-    # The baseline ignores interception, so the boom heap leaks into h —
-    # and the slop counter owns up to exactly that excess.
-    assert answer.points_to > whole
-    assert answer.exception_slop == len(answer.points_to - whole)
+    assert demand(engine, "Lib.mid/0/g") == frozenset({"Lib.boom/0/new Exc/0"})
+    assert demand(engine, "Main.main/0/h") == frozenset()
+    for var in ("Lib.mid/0/g", "Main.main/0/h"):
+        whole = frozenset(insens.var_points_to.get(var, ()))
+        slop = demand(engine, var) - whole
+        assert slop == frozenset(), var
+        assert demand(engine, var) == whole, var
 
 
-def test_exception_slop_is_zero_without_catch_edges():
-    for builder in (build_tiny_program, build_box_program):
-        program = builder()
-        _facts, insens, engine = make_engine(program)
-        for var in insens.var_points_to:
-            assert engine.query(var).exception_slop == 0, var
-
-
-# Property-based: reuse the random-program strategy.  The catch-handler
-# over-approximation (see the demand module docstring) propagates to every
-# variable downstream of a handler, so exactness is asserted only on
-# catch-free programs; with handlers present the demand answer must still
-# be a superset of the whole-program result (soundness direction).
+# Property-based: reuse the random-program strategy.  Exactness holds on
+# every program, including those with catch handlers.
 from tests.analysis.test_properties import programs  # noqa: E402
 
 
 @given(programs())
 @settings(max_examples=40, deadline=None)
 def test_demand_matches_insensitive_on_random_programs(program):
-    facts = encode_program(program)
-    insens = analyze(program, "insens", facts=facts)
-    engine = DemandPointsTo.from_insensitive_result(program, facts, insens)
-    exact = not facts.catchclause
+    _facts, insens, engine = make_engine(program)
     for var, expected in insens.var_points_to.items():
-        answer = engine.query(var).points_to
-        if exact:
-            assert answer == frozenset(expected), var
-        else:
-            assert answer >= frozenset(expected), var
+        assert demand(engine, var) == frozenset(expected), var

@@ -144,30 +144,6 @@ class TestPerformanceDoc:
         assert set(example) == set(report)
         assert set(example["entries"][0]) == set(report["entries"][0])
 
-    def test_parallel_schema_example_matches_real_report(self):
-        """The BENCH_parallel.json example (fourth json block) must have
-        exactly the keys a real parallel-scaling report has."""
-        import json
-
-        from repro.harness.bench import (
-            PARALLEL_BENCH_SCHEMA,
-            run_parallel_suite,
-        )
-
-        example = json.loads(
-            extract_block(DOCS / "performance.md", "json", index=3)
-        )
-        assert example["schema"] == PARALLEL_BENCH_SCHEMA
-        report = run_parallel_suite(
-            "tiny", flavors=("2objH",), repeat=1, worker_counts=(1, 2)
-        )
-        assert set(example) == set(report)
-        assert set(example["entries"][0]) == set(report["entries"][0])
-        # The doc's wall-clock-speedup claim must match the harness:
-        # every parallel cell appears in both speedup tables.
-        for key in report["speedups_vs_sequential"]:
-            assert key in report["speedups"]
-
 
 class TestObservabilityDoc:
     def test_tracer_example_runs_and_schema_claims_hold(self):

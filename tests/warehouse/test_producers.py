@@ -186,6 +186,12 @@ class TestServiceJobReceipts:
         try:
             job = _run_job(service, JobSpec(benchmark="antlr", analysis="insens"))
             assert job.state == JobState.DONE
+            # ...but the dropped write is counted on /metrics.
+            assert service._m_receipt_failures.value() == 1
+            assert (
+                "repro_service_receipt_write_failures_total 1"
+                in service.telemetry.render()
+            )
         finally:
             service.stop()
 
