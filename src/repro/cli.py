@@ -7,16 +7,13 @@ Subcommands:
   requested points-to sets;
 * ``repro bench NAME`` — run an analysis on a built-in DaCapo-analog
   benchmark;
-* ``repro bench`` (no name) — benchmark the packed solver against the
-  frozen reference engine over a generated suite and write
-  ``BENCH_solver.json``; with ``--datalog``, benchmark the compiled-plan
-  Datalog engine against the frozen interpreter and write
-  ``BENCH_datalog.json``; with ``--incremental``, benchmark warm edit
-  sessions against from-scratch re-analysis and write
-  ``BENCH_incremental.json`` (see ``docs/performance.md`` and
-  ``docs/incremental.md``); with ``--demand``, benchmark per-query
-  demand slices against full solves and write ``BENCH_demand.json``
-  (see ``docs/queries.md``);
+* ``repro bench`` (no name) — run one engine comparison over a generated
+  suite and write ``BENCH_<comparison>.json``: ``--compare solver``
+  (default) times the packed solver against the frozen reference
+  solver, ``datalog`` the compiled-plan Datalog engine against the
+  frozen interpreter, ``incremental`` warm edit sessions against
+  from-scratch re-analysis, ``demand`` demand queries against full
+  solves (see ``docs/performance.md``);
 * ``repro benchmarks`` — list the built-in benchmarks;
 * ``repro query VAR ...`` — answer demand ``pts(v)`` queries over a
   benchmark or source file under any context flavor, solving only each
@@ -26,8 +23,8 @@ Subcommands:
   ``--journal`` it becomes a cluster coordinator (``docs/cluster.md``);
 * ``repro worker`` — run a cluster worker node that registers with a
   coordinator, heartbeats, and pulls jobs (``docs/cluster.md``);
-* ``repro report`` — the results warehouse: ingest receipts and legacy
-  ``BENCH_*.json`` artifacts, bin and score the perf trajectory, render
+* ``repro report`` — the results warehouse: ingest receipts and
+  ``BENCH_*.json`` reports, bin and score the perf trajectory, render
   a table + JSON, and (``--gate``) fail on regressions
   (see ``docs/warehouse.md``);
 * ``repro experiments ...`` — the figure reproductions (also available as
@@ -39,9 +36,9 @@ Examples::
     repro analyze app.mj --analysis 2objH --introspective B --budget 100000
     repro bench hsqldb --analysis 2objH --introspective A
     repro bench --suite medium --repeat 3 --output BENCH_solver.json
-    repro bench --datalog --suite medium --repeat 3
-    repro bench --incremental --suite medium --repeat 3
-    repro bench --demand --suite medium --repeat 3
+    repro bench --compare datalog --suite medium --repeat 3
+    repro bench --compare incremental --suite medium --repeat 3
+    repro bench --compare demand --suite medium --repeat 3
     repro bench --quick --receipt-dir benchmarks/receipts
     repro query 'Main.main/0/result' --benchmark hsqldb --flavor 2objH
     repro serve --port 8080 --workers 4 --cache-dir /tmp/repro-cache
@@ -56,7 +53,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .analysis import AnalysisResult, BudgetExceeded, analyze
 from .benchgen.dacapo import DACAPO_SPECS, benchmark_names, build_benchmark
@@ -71,11 +68,6 @@ from .ir.program import Program
 from .obs import Tracer
 
 __all__ = ["main"]
-
-#: The bench parser's --flavors default (shared so --demand can detect
-#: "user did not override" and substitute its own sweep).
-_DEFAULT_BENCH_FLAVORS = "2objH,2typeH,2callH"
-
 
 def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -144,8 +136,8 @@ def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
         help="record a structured trace of the run and write it as Chrome "
         "trace_event JSON (open in Perfetto / chrome://tracing); FILE "
         "defaults to TRACE.json, or BENCH_trace.json for the engine "
-        "benchmark, where --trace times one traced cell against its "
-        "untraced twin and reports the overhead",
+        "benchmark, where --trace (solver comparison only) times one traced "
+        "cell against its untraced twin and reports the overhead",
     )
 
 
@@ -285,87 +277,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_suite(args: argparse.Namespace) -> int:
-    """Engine benchmark (``repro bench`` without a benchmark name):
-    packed-vs-reference solver by default, the Datalog-evaluator
-    comparison with ``--datalog``, warm edit-sessions vs from-scratch
-    re-analysis with ``--incremental``.  Writes the JSON report."""
-    from .harness.bench import (
-        DEFAULT_DEMAND_FLAVORS,
-        run_datalog_suite,
-        run_demand_suite,
-        run_incremental_suite,
-        run_suite,
-        write_report,
-    )
+    """Engine comparison (``repro bench`` without a benchmark name):
+    run ``--compare`` over a suite and write its ``repro-bench/2`` report."""
+    from .harness.bench import run_comparison, write_report
 
-    modes = [
-        name
-        for name, on in (
-            ("--datalog", args.datalog),
-            ("--incremental", args.incremental),
-            ("--demand", args.demand),
-        )
-        if on
-    ]
-    if len(modes) > 1:
-        print(f"{' and '.join(modes)} are mutually exclusive")
-        return 2
-    suite = args.suite
-    repeat = args.repeat
+    suite, repeat = args.suite, args.repeat
     if args.quick:
-        suite = "small"
-        repeat = 1
-    flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
-    if args.demand and args.flavors == _DEFAULT_BENCH_FLAVORS:
-        # The demand bench's natural sweep includes an introspective
-        # flavor; an explicit --flavors list still wins.
-        flavors = list(DEFAULT_DEMAND_FLAVORS)
-    if args.datalog:
-        runner = run_datalog_suite
-    elif args.incremental:
-        runner = run_incremental_suite
-    else:
-        runner = run_suite
-    output = args.output
-    if output is None:
-        if args.datalog:
-            output = "BENCH_datalog.json"
-        elif args.incremental:
-            output = "BENCH_incremental.json"
-        elif args.demand:
-            output = "BENCH_demand.json"
-        else:
-            output = "BENCH_solver.json"
+        suite, repeat = "small", 1
+    flavors = None
+    if args.flavors is not None:
+        flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
+    tracers: Optional[List[Tracer]] = None if args.trace is None else []
     try:
-        if args.demand:
-            report = run_demand_suite(
-                suite=suite,
-                flavors=flavors,
-                repeat=repeat,
-                queries=args.queries,
-                progress=print,
-            )
-        else:
-            report = runner(
-                suite=suite, flavors=flavors, repeat=repeat, progress=print
-            )
+        report = run_comparison(
+            args.compare,
+            suite=suite,
+            flavors=flavors,
+            repeat=repeat,
+            progress=print,
+            queries=args.queries,
+            tracers=tracers,
+        )
     except ValueError as exc:
         print(str(exc))
         return 2
-    if args.trace is not None:
-        from .harness.bench import run_trace_cell
-
-        cell, tracer = run_trace_cell(
-            suite=suite,
-            flavor=flavors[0] if flavors else "2objH",
-            repeat=repeat,
-            progress=print,
-        )
-        # The "trace" key exists only when tracing was requested, so the
-        # default report schema (docs/performance.md) is unchanged.
-        report["trace"] = cell
-        trace_path = args.trace or "BENCH_trace.json"
-        _export_trace(tracer, trace_path)
+    if tracers:
+        _export_trace(tracers[-1], args.trace or "BENCH_trace.json")
+    output = args.output or f"BENCH_{args.compare}.json"
     write_report(report, output)
     print(f"wrote {output}")
     if args.receipt_dir:
@@ -673,14 +611,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_bench = sub.add_parser(
         "bench",
         help="analyze a built-in benchmark, or (without a name) "
-        "benchmark the solver engines",
+        "run an engine comparison",
     )
     p_bench.add_argument(
         "name",
         nargs="?",
         default=None,
         help="benchmark name (see `repro benchmarks`); omit to run the "
-        "packed-vs-reference solver benchmark",
+        "--compare engine comparison",
     )
     _add_analysis_options(p_bench)
     p_bench.add_argument(
@@ -692,19 +630,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--repeat",
         type=int,
         default=3,
-        help="solves per (benchmark, flavor, engine) cell; best is kept",
+        help="runs per (benchmark, flavor, variant) cell; best is kept",
+    )
+    p_bench.add_argument(
+        "--compare",
+        default="solver",
+        help="engine comparison to run without a benchmark name: solver "
+        "(packed vs reference solver, default), datalog (compiled vs "
+        "reference Datalog engine), incremental (warm edits vs scratch "
+        "re-analysis), demand (demand queries vs full solves)",
     )
     p_bench.add_argument(
         "--flavors",
-        default=_DEFAULT_BENCH_FLAVORS,
-        help="comma-separated context flavors to benchmark",
+        default=None,
+        help="comma-separated context flavors to benchmark (default: the "
+        "comparison's own sweep)",
     )
     p_bench.add_argument(
         "--output",
         default=None,
         metavar="FILE",
-        help="where to write the JSON report (default BENCH_solver.json, "
-        "or BENCH_datalog.json with --datalog)",
+        help="where to write the JSON report (default BENCH_<comparison>.json)",
     )
     p_bench.add_argument(
         "--quick",
@@ -712,29 +658,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="CI smoke mode: small suite, single repeat",
     )
     p_bench.add_argument(
-        "--datalog",
-        action="store_true",
-        help="benchmark the Datalog evaluators (compiled join plans vs "
-        "the frozen interpreter) instead of the solver engines",
-    )
-    p_bench.add_argument(
-        "--incremental",
-        action="store_true",
-        help="benchmark warm incremental edit-sessions against "
-        "from-scratch re-analysis (writes BENCH_incremental.json)",
-    )
-    p_bench.add_argument(
-        "--demand",
-        action="store_true",
-        help="benchmark demand queries (slice solves via the query "
-        "engine) against full packed solves (writes BENCH_demand.json)",
-    )
-    p_bench.add_argument(
         "--queries",
         type=int,
         default=6,
         metavar="N",
-        help="seeded query variables per benchmark for --demand "
+        help="seeded query variables per benchmark for --compare demand "
         "(default 6)",
     )
     p_bench.add_argument(
@@ -1005,7 +933,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "inputs",
         nargs="+",
         metavar="PATH",
-        help="receipt files/directories and/or legacy BENCH_*.json reports",
+        help="receipt files/directories and/or BENCH_*.json reports",
     )
     p_report.add_argument(
         "--baseline",

@@ -8,7 +8,7 @@ and a linear ``_matches`` scan over semi-naive delta rows.
 It exists for two reasons (the same pattern as
 :mod:`repro.analysis.reference_solver`):
 
-* ``repro bench --datalog`` measures the compiled engine *against* this
+* ``repro bench --compare datalog`` measures the compiled engine *against* this
   baseline and records the speedup trajectory in ``BENCH_datalog.json``;
 * the differential tests and fuzz oracles cross-check the compiled
   engine's relations against this one, so the plan compiler cannot

@@ -1,46 +1,31 @@
-"""Engine benchmark harness: live engines vs their frozen baselines.
+"""Engine comparisons: live engines and warm paths vs fixed yardsticks.
 
-This is the measurement side of the repository's two engine rewrites.
+Every number here is a speedup of a *candidate* over a fixed *baseline*,
+measured by one loop (:func:`run_comparison`) over one of the
+:data:`COMPARISONS`:
 
-**Solver benchmark** (``run_suite``, ``BENCH_solver.json``): runs a suite
-of generated benchmark programs (:mod:`repro.benchgen`) across the three
-main context flavors under two engines:
+* ``solver`` — the packed solver (variant ``packed``) against the frozen
+  :mod:`repro.analysis.reference_solver`; with ``tracers``, variant
+  ``traced`` times the packed solve with a :class:`~repro.obs.Tracer`
+  attached against the untraced one, on the suite's first cell;
+* ``datalog`` — the compiled Datalog engine (``compiled``) against the
+  frozen :mod:`repro.datalog.reference_engine`, both evaluating the full
+  Figure 3 model over their own, smaller suites;
+* ``incremental`` — one warm-session edit per kind in
+  :data:`INCREMENTAL_EDIT_KINDS` against re-analysis from scratch;
+* ``demand`` — demand queries (``query``: one variable at a time;
+  ``batch``: one shared union-solve, billed per query) against a full
+  solve.
 
-* ``reference`` — :mod:`repro.analysis.reference_solver`, a frozen
-  snapshot of the pre-optimization solver (tuple-pair points-to sets,
-  scan-based cast filters, string-tag consumer dispatch);
-* ``packed`` — the current :mod:`repro.analysis.solver` (dense pair ids,
-  incremental cast-filter index, per-kind consumers).
-
-**Datalog benchmark** (``run_datalog_suite``, ``BENCH_datalog.json``):
-runs the paper's full Figure 3 model
-(:class:`~repro.analysis.datalog_model.DatalogPointsToAnalysis`) over its
-own generated suites under two Datalog evaluators:
-
-* ``reference`` — :mod:`repro.datalog.reference_engine`, the frozen
-  dict-environment interpreter;
-* ``compiled`` — the current :mod:`repro.datalog.engine` (compiled join
-  plans, slot registers, indexed deltas).
-
-Both comparisons share the same measurement hygiene and report shape; the
-Datalog cells assert equal database row counts instead of solver tuple
-counts.
-
-Each (benchmark, flavor) cell is solved ``repeat`` times per engine,
-interleaved so slow machine drift hits both engines alike, and the best
-time is kept.  Both wall-clock (``seconds``) and process CPU time
-(``cpu_seconds``) are recorded; the ``speedups`` table is computed from
-CPU time because the solver is single-threaded pure compute, and CPU
-time is robust against other processes sharing the machine (CI runners,
-laptops), where wall-clock can swing by tens of percent.  The harness
-*asserts* that both engines derive exactly the same number of tuples —
-a run that diverges is a correctness bug, not a benchmark result.
-
-The report is written as ``BENCH_solver.json`` with the schema documented
-in ``docs/performance.md`` (``repro-bench-solver/1``).  ``peak_rss_kb``
-is ``ru_maxrss`` after the cell ran; being a process-lifetime high-water
-mark it only ever grows, so treat it as "memory needed to get this far",
-not a per-cell delta.
+The loop owns the measurement.  Per repeat it runs every variant's
+candidate, then the baseline, so machine drift hits both alike; every
+timed section runs with the cyclic GC collected and paused.  It keeps
+the best times, requires the last candidate and baseline runs to agree
+(a disagreement is a correctness bug, not a benchmark result: it raises
+``RuntimeError`` naming the cell), and computes every speedup from
+process CPU time, which is robust on shared machines where wall clock
+swings by tens of percent.  Every comparison writes one report schema,
+``repro-bench/2`` (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -53,7 +38,19 @@ import platform
 import random
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 try:  # POSIX only; peak RSS is reported as None elsewhere.
     import resource
@@ -68,63 +65,49 @@ from ..benchgen.spec import BenchmarkSpec, HubSpec
 from ..contexts.policies import policy_by_name
 from ..datalog.engine import Engine as CompiledEngine
 from ..datalog.reference_engine import ReferenceEngine
-from ..facts.encoder import encode_program
+from ..facts.encoder import FactBase, encode_program
 from ..fuzz.oracles import solver_relations
 from ..fuzz.sketch import ProgramSketch
 from ..incremental.edits import random_edit_script
 from ..incremental.session import RESULT_RELATIONS, IncrementalSession
+from ..ir.program import Program
 from ..obs import Tracer
 from ..utils import atomic_write_text
+from ..warehouse.receipt import BENCH_SCHEMA
 
 __all__ = [
     "BENCH_SCHEMA",
-    "DATALOG_BENCH_SCHEMA",
-    "DATALOG_ENGINES",
+    "COMPARISONS",
     "DEFAULT_DEMAND_FLAVORS",
     "DEFAULT_FLAVORS",
-    "DEMAND_BENCH_SCHEMA",
-    "ENGINES",
-    "INCREMENTAL_BENCH_SCHEMA",
     "INCREMENTAL_EDIT_KINDS",
-    "datalog_suite_names",
-    "datalog_suite_specs",
-    "run_datalog_suite",
-    "run_demand_suite",
-    "run_incremental_suite",
-    "run_trace_cell",
+    "run_comparison",
     "suite_names",
     "suite_specs",
-    "run_suite",
     "write_report",
 ]
 
-BENCH_SCHEMA = "repro-bench-solver/1"
-DATALOG_BENCH_SCHEMA = "repro-bench-datalog/1"
-INCREMENTAL_BENCH_SCHEMA = "repro-bench-incremental/1"
-DEMAND_BENCH_SCHEMA = "repro-bench-demand/1"
+DEFAULT_FLAVORS: Tuple[str, ...] = ("2objH", "2typeH", "2callH")
 
-#: Flavors the demand bench sweeps — the context-sensitive ones a query
-#: would otherwise pay a full solve for, including an introspective
+#: Flavors the demand comparison sweeps — the context-sensitive ones a
+#: query would otherwise pay a full solve for, including an introspective
 #: variant (the engine's two-pass refinement decision).
 DEFAULT_DEMAND_FLAVORS: Tuple[str, ...] = ("2objH", "2typeH", "introspective-A")
 
-#: The monotonic edit vocabulary the incremental bench measures — one
-#: cell per kind, all absorbed by the warm solver's fast path.
+#: The monotonic edit vocabulary the incremental comparison measures —
+#: one variant per kind, all absorbed by the warm solver's fast path.
 INCREMENTAL_EDIT_KINDS: Tuple[str, ...] = (
     "alloc",
     "move",
     "new-call",
     "new-entry",
 )
-DEFAULT_FLAVORS: Tuple[str, ...] = ("2objH", "2typeH", "2callH")
-ENGINES: Tuple[str, ...] = ("reference", "packed")
-DATALOG_ENGINES: Tuple[str, ...] = ("reference", "compiled")
 
 #: Benchmark suites.  All programs are pathology-hub workloads — the
 #: paper's explosion structure and the solver's dominant cost — sized so
 #: every flavor terminates without a budget.  ``tiny`` is for unit tests,
-#: ``small`` for CI smoke runs (`repro bench --quick`), ``medium`` for
-#: the committed BENCH_solver.json trajectory.
+#: ``small`` for CI smoke runs (``repro bench --quick``), ``medium`` for
+#: the committed ``BENCH_*.json`` trajectories.
 _SUITES: Dict[str, Tuple[BenchmarkSpec, ...]] = {
     "tiny": (
         BenchmarkSpec(
@@ -223,14 +206,12 @@ _SUITES: Dict[str, Tuple[BenchmarkSpec, ...]] = {
     ),
 }
 
-_ENGINE_SOLVERS = {"reference": reference_solve, "packed": packed_solve}
-
 #: Datalog-model benchmark suites.  Deliberately much smaller than the
 #: solver suites: every cell runs the full Figure 3 rule model through a
 #: pure-Python Datalog evaluator, and the frozen reference interpreter is
 #: orders of magnitude slower than the worklist solver.  ``tiny`` is for
 #: unit tests, ``small`` for CI smoke runs (``--quick``), ``medium`` for
-#: the committed BENCH_datalog.json trajectory.
+#: the committed ``BENCH_datalog.json`` trajectory.
 _DATALOG_SUITES: Dict[str, Tuple[BenchmarkSpec, ...]] = {
     "tiny": (
         BenchmarkSpec(
@@ -303,41 +284,9 @@ _DATALOG_SUITES: Dict[str, Tuple[BenchmarkSpec, ...]] = {
     ),
 }
 
-_DATALOG_ENGINE_FACTORIES = {
-    "reference": ReferenceEngine,
-    "compiled": CompiledEngine,
-}
-
-
-def suite_names() -> List[str]:
-    return sorted(_SUITES)
-
-
-def suite_specs(suite: str) -> Tuple[BenchmarkSpec, ...]:
-    try:
-        return _SUITES[suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {suite!r}; try one of: {', '.join(suite_names())}"
-        ) from None
-
-
-def datalog_suite_names() -> List[str]:
-    return sorted(_DATALOG_SUITES)
-
-
-def datalog_suite_specs(suite: str) -> Tuple[BenchmarkSpec, ...]:
-    try:
-        return _DATALOG_SUITES[suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown datalog suite {suite!r}; try one of: "
-            f"{', '.join(datalog_suite_names())}"
-        ) from None
-
 
 def _provenance() -> Dict[str, object]:
-    """Host/interpreter provenance recorded in every BENCH_*.json.
+    """Host/interpreter provenance recorded in every report.
 
     A speedup number is only interpretable against the machine that
     produced it, so every report carries the Python version, platform,
@@ -354,7 +303,7 @@ def _provenance() -> Dict[str, object]:
 
 
 def _peak_rss_kb() -> Optional[int]:
-    """Process peak RSS in KB (ru_maxrss; None where unsupported)."""
+    """Process peak RSS in KB: a lifetime high-water mark, not a per-cell delta."""
     if resource is None:  # pragma: no cover - non-POSIX platform
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -364,655 +313,516 @@ def _peak_rss_kb() -> Optional[int]:
     return int(peak)
 
 
-def run_suite(
-    suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_FLAVORS,
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Benchmark both engines over a suite; return the report dict.
+def _geomean(values: Iterable[float]) -> float:
+    logs = [math.log(v) for v in values]
+    return math.exp(sum(logs) / len(logs))
 
-    Raises ``RuntimeError`` if the engines disagree on any cell's derived
-    tuple count (they implement the same analysis; disagreement means a
-    bug, and the timing numbers would be meaningless).
+
+#: ``timed(fn, items=1)`` calls ``fn()`` inside the clock and returns its
+#: result; a section doing ``items`` units of work at once is billed per
+#: unit (its seconds divided by ``items``).
+Timed = Callable[..., Any]
+#: One baseline or candidate run: untimed setup plus one or more ``timed``
+#: sections.  Returns what the agreement check compares.
+Run = Callable[[Timed], Any]
+
+
+@dataclass
+class Cell:
+    """One (benchmark, flavor) cell of a comparison.
+
+    ``check(variant, candidate, baseline)`` receives the last results of
+    a variant and of its baseline and returns ``(work, problem)``: the
+    agreed work count, and what disagrees (``None`` when nothing does).
+    ``detail(variant, result, cpu, baseline_cpu)`` returns the entry's
+    ``detail`` object from the variant's last result and its best CPU
+    seconds per timed section.
     """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    specs = suite_specs(suite)
 
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    baseline: Run
+    variants: Dict[str, Run]
+    check: Callable[[str, Any, Any], Tuple[int, Optional[str]]]
+    detail: Callable[[str, Any, List[float], float], Dict[str, Any]] = (
+        lambda *_: {}
+    )
 
-    entries: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
+
+@dataclass
+class _Options:
+    """What a comparison's cells may use beyond the suite and flavors."""
+
+    say: Callable[[str], None]
+    queries: int
+    seed: int
+    #: Receives the tracer of every ``traced`` solve, when tracing.
+    tracers: Optional[List[Tracer]]
+    #: Report-level ``detail`` a comparison may fill.
+    detail: Dict[str, Any] = field(default_factory=dict)
+
+
+class Comparison(NamedTuple):
+    suites: Dict[str, Tuple[BenchmarkSpec, ...]]
+    flavors: Tuple[str, ...]
+    baseline: str
+    candidate: str
+    #: ``cells(specs, flavors, options)`` yields ``(benchmark, flavor,
+    #: cell)``; each cell is measured before the next is requested.
+    cells: Callable[..., Iterator[Tuple[str, str, Cell]]]
+
+
+def _same_count(unit: str) -> Callable[..., Tuple[int, Optional[str]]]:
+    """Agreement on one count: the candidate's equals the baseline's."""
+
+    def check(variant: str, got: int, want: int) -> Tuple[int, Optional[str]]:
+        if got == want:
+            return got, None
+        return got, f"{variant}={got} baseline={want} {unit}"
+
+    return check
+
+
+def _programs(
+    specs: Sequence[BenchmarkSpec], opts: _Options
+) -> Iterator[Tuple[str, Program, FactBase]]:
     for spec in specs:
         program = generate(spec)
-        facts = encode_program(program)
-        say(f"{spec.name}: {program.summary()}")
-        for flavor in flavors:
-            policy = policy_by_name(
-                flavor, alloc_class_of=facts.alloc_class_of
-            )
-            best_wall: Dict[str, float] = {}
-            best_cpu: Dict[str, float] = {}
-            tuples: Dict[str, int] = {}
-            for _ in range(repeat):
-                # Interleave engines so machine drift hits both equally;
-                # collect the previous run's garbage and pause the cyclic
-                # GC during each timed solve so neither engine is billed
-                # for the other's leftovers.
-                for engine in ENGINES:
-                    solve = _ENGINE_SOLVERS[engine]
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        raw = solve(program, policy, facts=facts)
-                        cpu = time.process_time() - c0
-                        wall = time.perf_counter() - w0
-                    finally:
-                        gc.enable()
-                    if wall < best_wall.get(engine, math.inf):
-                        best_wall[engine] = wall
-                    if cpu < best_cpu.get(engine, math.inf):
-                        best_cpu[engine] = cpu
-                    tuples[engine] = raw.tuple_count
-                    raw = None
-            if tuples["packed"] != tuples["reference"]:
-                raise RuntimeError(
-                    f"engine disagreement on {spec.name}/{flavor}: "
-                    f"packed={tuples['packed']} "
-                    f"reference={tuples['reference']} tuples"
-                )
-            for engine in ENGINES:
-                seconds = best_wall[engine]
-                cpu_seconds = best_cpu[engine]
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "engine": engine,
-                        "seconds": round(seconds, 6),
-                        "cpu_seconds": round(cpu_seconds, 6),
-                        "tuples": tuples[engine],
-                        "tuples_per_second": round(
-                            tuples[engine] / cpu_seconds
-                        )
-                        if cpu_seconds > 0
-                        else None,
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
-                )
-            cell = f"{spec.name}/{flavor}"
-            speedup = best_cpu["reference"] / best_cpu["packed"]
-            speedups[cell] = round(speedup, 3)
-            say(
-                f"  {flavor:7s} tuples={tuples['packed']:>9d} "
-                f"reference={best_cpu['reference']:.3f}s "
-                f"packed={best_cpu['packed']:.3f}s  {speedup:.2f}x"
-            )
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
+        opts.say(f"{spec.name}: {program.summary()}")
+        yield spec.name, program, encode_program(program)
+
+
+def _solver_cell(
+    program: Program,
+    facts: FactBase,
+    flavor: str,
+    tracers: Optional[List[Tracer]] = None,
+) -> Cell:
+    """Packed vs reference solve; with ``tracers``, the traced packed
+    solve vs the untraced one instead."""
+    policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
+
+    def run(solve: Callable[..., Any], tracers: Optional[List[Tracer]] = None) -> Run:
+        def solved(timed: Timed) -> int:
+            extra = {}
+            if tracers is not None:
+                # A fresh tracer per run, so the spans describe one solve.
+                tracers.append(Tracer())
+                extra["tracer"] = tracers[-1]
+            return timed(
+                lambda: solve(program, policy, facts=facts, **extra)
+            ).tuple_count
+
+        return solved
+
+    if tracers is None:
+        return Cell(
+            run(reference_solve), {"packed": run(packed_solve)}, _same_count("tuples")
+        )
+
+    def detail(
+        _variant: str, _count: int, cpu: List[float], base_cpu: float
+    ) -> Dict[str, Any]:
+        return {
+            "overhead_percent": round((cpu[0] / base_cpu - 1.0) * 100.0, 2),
+            "span_names": tracers[-1].span_names(),
+            "events": len(tracers[-1].chrome_trace()["traceEvents"]),
+        }
+
+    return Cell(
+        run(packed_solve),
+        {"traced": run(packed_solve, tracers)},
+        _same_count("tuples"),
+        detail,
     )
-    say(f"geomean speedup: {geomean:.2f}x")
-    return {
-        "schema": BENCH_SCHEMA,
-        "suite": suite,
-        "flavors": list(flavors),
-        "repeat": repeat,
-        "workers": 1,
-        **_provenance(),
-        "engines": list(ENGINES),
-        "entries": entries,
-        "speedups": speedups,
-        "geomean_speedup": round(geomean, 3),
-    }
 
 
-def run_datalog_suite(
-    suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_FLAVORS,
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Benchmark both Datalog evaluators over a suite; return the report.
+def _solver_cells(
+    specs: Sequence[BenchmarkSpec], flavors: Sequence[str], opts: _Options
+) -> Iterator[Tuple[str, str, Cell]]:
+    first = None
+    for name, program, facts in _programs(specs, opts):
+        first = first or (name, program, facts)
+        yield from ((name, f, _solver_cell(program, facts, f)) for f in flavors)
+    if opts.tracers is not None:
+        # The traced twin: the first cell again, measured after the suite
+        # so neither side pays the process's cold start.
+        name, program, facts = first
+        yield name, flavors[0], _solver_cell(
+            program, facts, flavors[0], opts.tracers
+        )
 
-    Each timed run builds a fresh :class:`DatalogPointsToAnalysis` —
-    construction loads the EDB through the same ``Database.add_fact`` path
-    for both engines, so the cells compare end-to-end model evaluation.
-    The policy is also rebuilt per run: policies memoize context tuples,
-    and a warm cache must not favor whichever engine runs second.
 
-    Raises ``RuntimeError`` if the engines disagree on any cell's total
-    database row count (same rules, same facts — disagreement is a bug).
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    specs = datalog_suite_specs(suite)
+def _datalog_cell(program: Program, facts: FactBase, flavor: str) -> Cell:
+    def run(factory: Callable[..., Any]) -> Run:
+        def rows(timed: Timed) -> int:
+            # Everything is rebuilt per run: construction loads the EDB
+            # through the same ``Database.add_fact`` path for both engines,
+            # and policies memoize context tuples, so a warm policy must
+            # not favor whichever engine runs second.
+            policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
 
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    entries: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
-    for spec in specs:
-        program = generate(spec)
-        facts = encode_program(program)
-        say(f"{spec.name}: {program.summary()}")
-        for flavor in flavors:
-            best_wall: Dict[str, float] = {}
-            best_cpu: Dict[str, float] = {}
-            rows: Dict[str, int] = {}
-            for _ in range(repeat):
-                # Same hygiene as the solver cells: interleave engines,
-                # sweep the previous run's garbage, pause the cyclic GC
-                # while the clock runs.
-                for engine in DATALOG_ENGINES:
-                    factory = _DATALOG_ENGINE_FACTORIES[engine]
-                    policy = policy_by_name(
-                        flavor, alloc_class_of=facts.alloc_class_of
-                    )
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        analysis = DatalogPointsToAnalysis(
-                            program,
-                            policy,
-                            facts=facts,
-                            engine_factory=factory,
-                        )
-                        analysis.run()
-                        cpu = time.process_time() - c0
-                        wall = time.perf_counter() - w0
-                    finally:
-                        gc.enable()
-                    if wall < best_wall.get(engine, math.inf):
-                        best_wall[engine] = wall
-                    if cpu < best_cpu.get(engine, math.inf):
-                        best_cpu[engine] = cpu
-                    rows[engine] = analysis.engine.db.total_rows()
-                    analysis = None
-            if rows["compiled"] != rows["reference"]:
-                raise RuntimeError(
-                    f"engine disagreement on {spec.name}/{flavor}: "
-                    f"compiled={rows['compiled']} "
-                    f"reference={rows['reference']} rows"
+            def evaluate() -> int:
+                analysis = DatalogPointsToAnalysis(
+                    program, policy, facts=facts, engine_factory=factory
                 )
-            for engine in DATALOG_ENGINES:
-                seconds = best_wall[engine]
-                cpu_seconds = best_cpu[engine]
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "engine": engine,
-                        "seconds": round(seconds, 6),
-                        "cpu_seconds": round(cpu_seconds, 6),
-                        "rows": rows[engine],
-                        "rows_per_second": round(rows[engine] / cpu_seconds)
-                        if cpu_seconds > 0
-                        else None,
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
-                )
-            cell = f"{spec.name}/{flavor}"
-            speedup = best_cpu["reference"] / best_cpu["compiled"]
-            speedups[cell] = round(speedup, 3)
-            say(
-                f"  {flavor:7s} rows={rows['compiled']:>9d} "
-                f"reference={best_cpu['reference']:.3f}s "
-                f"compiled={best_cpu['compiled']:.3f}s  {speedup:.2f}x"
-            )
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
+                analysis.run()
+                return analysis.engine.db.total_rows()
+
+            return timed(evaluate)
+
+        return rows
+
+    return Cell(
+        run(ReferenceEngine),
+        {"compiled": run(CompiledEngine)},
+        _same_count("rows"),
     )
-    say(f"geomean speedup: {geomean:.2f}x")
-    return {
-        "schema": DATALOG_BENCH_SCHEMA,
-        "suite": suite,
-        "flavors": list(flavors),
-        "repeat": repeat,
-        "workers": 1,
-        **_provenance(),
-        "engines": list(DATALOG_ENGINES),
-        "entries": entries,
-        "speedups": speedups,
-        "geomean_speedup": round(geomean, 3),
-    }
 
 
-def run_incremental_suite(
-    suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_FLAVORS,
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Benchmark warm edit-sessions against from-scratch re-analysis.
+def _datalog_cells(
+    specs: Sequence[BenchmarkSpec], flavors: Sequence[str], opts: _Options
+) -> Iterator[Tuple[str, str, Cell]]:
+    for name, program, facts in _programs(specs, opts):
+        yield from ((name, f, _datalog_cell(program, facts, f)) for f in flavors)
 
-    For every (benchmark, flavor) cell a single
-    :class:`~repro.incremental.session.IncrementalSession` is warmed up
-    once (unmeasured) over the packed solver, then fed ``repeat`` seeded
-    single edits of each kind in :data:`INCREMENTAL_EDIT_KINDS`.  Each
-    edit is timed end-to-end — sketch mutation, program rebuild, fact
-    diff, tier classification, and the warm solve — because that is what
-    an editing service pays per keystroke.  The best CPU time per kind is
-    compared against the best of ``repeat`` from-scratch runs — build +
-    encode + policy + solve + result-relation materialization of the
-    final edited program, the exact work a session-less server redoes
-    to answer the same queries (``session.apply`` leaves
-    ``session.relations()`` current; scratch must materialize them from
-    the raw solution); ``speedups`` is keyed ``benchmark/flavor/kind``.
 
-    Correctness is asserted, not sampled: after each cell's edits the
-    warm relations are compared tuple-for-tuple against the from-scratch
-    result over all of :data:`RESULT_RELATIONS`; any difference raises
-    ``RuntimeError`` (the timing numbers would be meaningless).  Each
-    entry also records which tiers the session actually took — a fall
-    back to ``full`` shows up in the data rather than silently inflating
-    the baseline's advantage.
+def _incremental_cell(
+    sketch: ProgramSketch, benchmark: str, flavor: str, say: Callable[[str], None]
+) -> Cell:
+    """Warm edits vs from-scratch re-analysis of the edited program.
+
+    The session is warmed up once, unmeasured.  Each edit is timed end to
+    end — program rebuild, fact diff, tier classification, warm solve —
+    because that is what an editing service pays per keystroke.  The
+    baseline is what a session-less server redoes to answer the same
+    queries: rebuild, encode, solve, and materialize the result
+    relations (``session.apply`` leaves ``session.relations()``
+    current).  It runs after the edits, so the agreement check compares
+    it with the warm session over all of :data:`RESULT_RELATIONS`.
     """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    specs = suite_specs(suite)
+    session = IncrementalSession(sketch, analysis=flavor, engine="solver")
+    say(
+        f"{benchmark}/{flavor}: warm solve "
+        f"{session.initial_solve_seconds:.3f}s ({session.program.summary()})"
+    )
+    # Seeded by cell name so runs are reproducible across processes
+    # (str seeds hash deterministically in random).
+    rng = random.Random(f"{benchmark}/{flavor}")
+    tiers: Dict[str, List[str]] = {kind: [] for kind in INCREMENTAL_EDIT_KINDS}
 
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    def edit(kind: str) -> Run:
+        def run(timed: Timed) -> Any:
+            script = random_edit_script(
+                session.sketch, rng, edits=1, allow_removals=False, kinds=(kind,)
+            )
+            outcome = timed(lambda: session.apply(script))
+            tiers[kind].append(outcome.tier)
+            return outcome
 
-    entries: List[Dict[str, object]] = []
-    speedups: Dict[str, float] = {}
+        return run
+
+    def scratch(timed: Timed) -> Dict[str, Any]:
+        def rebuild() -> Any:
+            program = session.sketch.build()
+            facts = encode_program(program)
+            policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
+            return solver_relations(packed_solve(program, policy, facts=facts))
+
+        return dict(zip(RESULT_RELATIONS, timed(rebuild)))
+
+    def check(
+        kind: str, outcome: Any, relations: Dict[str, Any]
+    ) -> Tuple[int, Optional[str]]:
+        warm = session.relations()
+        bad = [name for name in RESULT_RELATIONS if warm[name] != relations[name]]
+        problem = f"warm session diverged from scratch: {', '.join(bad)}"
+        return outcome.result_rows_added, problem if bad else None
+
+    # Each entry records the tiers the session took, so a fall back to
+    # ``full`` shows up in the data rather than inflating the baseline.
+    return Cell(
+        scratch,
+        {kind: edit(kind) for kind in INCREMENTAL_EDIT_KINDS},
+        check,
+        lambda kind, *_: {"tiers": tiers[kind]},
+    )
+
+
+def _incremental_cells(
+    specs: Sequence[BenchmarkSpec], flavors: Sequence[str], opts: _Options
+) -> Iterator[Tuple[str, str, Cell]]:
     for spec in specs:
         sketch = ProgramSketch.from_program(generate(spec))
         for flavor in flavors:
-            session = IncrementalSession(
-                sketch, analysis=flavor, engine="solver"
-            )
-            say(
-                f"{spec.name}/{flavor}: warm solve "
-                f"{session.initial_solve_seconds:.3f}s "
-                f"({session.program.summary()})"
-            )
-            # Seeded by cell name so runs are reproducible across
-            # processes (str seeds hash deterministically in random).
-            rng = random.Random(f"{spec.name}/{flavor}")
-            kind_cpu: Dict[str, float] = {}
-            kind_wall: Dict[str, float] = {}
-            kind_tiers: Dict[str, List[str]] = {}
-            kind_rows: Dict[str, int] = {}
-            for kind in INCREMENTAL_EDIT_KINDS:
-                tiers: List[str] = []
-                for _ in range(repeat):
-                    script = random_edit_script(
-                        session.sketch,
-                        rng,
-                        edits=1,
-                        allow_removals=False,
-                        kinds=(kind,),
-                    )
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        outcome = session.apply(script)
-                        cpu = time.process_time() - c0
-                        wall = time.perf_counter() - w0
-                    finally:
-                        gc.enable()
-                    if cpu < kind_cpu.get(kind, math.inf):
-                        kind_cpu[kind] = cpu
-                        kind_wall[kind] = wall
-                    tiers.append(outcome.tier)
-                    kind_rows[kind] = outcome.result_rows_added
-                kind_tiers[kind] = tiers
-            # One from-scratch baseline per cell: the final program is
-            # one tiny edit away from every measured state, so its
-            # scratch cost stands in for each edit's non-warm cost.
-            # Timed end-to-end to the same artifact the warm path keeps
-            # current: rebuild the program from the sketch, encode,
-            # solve, and materialize the result relations.
-            scratch_cpu = math.inf
-            scratch_wall = math.inf
-            scratch: Dict[str, object] = {}
-            for _ in range(repeat):
-                gc.collect()
-                gc.disable()
-                try:
-                    w0 = time.perf_counter()
-                    c0 = time.process_time()
-                    program = session.sketch.build()
-                    facts = encode_program(program)
-                    policy = policy_by_name(
-                        flavor, alloc_class_of=facts.alloc_class_of
-                    )
-                    raw = packed_solve(program, policy, facts=facts)
-                    relations = solver_relations(raw)
-                    cpu = time.process_time() - c0
-                    wall = time.perf_counter() - w0
-                finally:
-                    gc.enable()
-                scratch_cpu = min(scratch_cpu, cpu)
-                scratch_wall = min(scratch_wall, wall)
-                scratch = dict(zip(RESULT_RELATIONS, relations))
-                raw = relations = None
-            warm = session.relations()
-            bad = [
-                name
-                for name in RESULT_RELATIONS
-                if warm[name] != scratch[name]
+            cell = _incremental_cell(sketch, spec.name, flavor, opts.say)
+            yield spec.name, flavor, cell
+
+
+def _demand_cell(
+    engine: Any, picked: List[str], flavor: str, footprints: List[float]
+) -> Cell:
+    """Demand queries vs the full solve they replace.
+
+    ``query`` answers each picked variable alone, memos cleared outside
+    the clock, so each timing is a cold plan + sliced solve (the planner
+    and the insensitive pass stay warm — the steady state of a long-lived
+    engine, whose one-time warm-up is reported separately); its CPU time
+    is the geometric mean over the variables, so its speedup is the
+    geomean of the per-variable speedups.  ``batch`` answers all of them
+    in one ``query_batch`` sharing a single union-solve, billed per query
+    (its time divided by the number of variables).  Every answer must
+    equal the full solve's projection for its variable.
+    """
+    from ..analysis import analyze
+
+    policy = engine.policy(flavor)
+
+    def full(timed: Timed) -> Any:
+        return timed(lambda: analyze(engine.program, policy, facts=engine.facts))
+
+    def query(timed: Timed) -> Dict[str, Any]:
+        answers = {}
+        for var in picked:
+            engine.clear_memos()
+            answers[var] = timed(lambda: engine.query(var, flavor))
+        return answers
+
+    def batch(timed: Timed) -> Dict[str, Any]:
+        engine.clear_memos()
+        outcomes = timed(lambda: engine.query_batch(picked, flavor), len(picked))
+        return {outcome.var: outcome.answer for outcome in outcomes}
+
+    def check(
+        mode: str, answers: Dict[str, Any], result: Any
+    ) -> Tuple[int, Optional[str]]:
+        work = 0
+        for var in picked:
+            expected = frozenset(result.var_points_to.get(var, ()))
+            answer = answers.get(var)
+            if answer is None or answer.points_to != expected:
+                got = "none" if answer is None else len(answer.points_to)
+                return work, f"{var}: {mode}={got} full={len(expected)} heaps"
+            work += len(expected)
+        return work, None
+
+    def detail(
+        mode: str, answers: Dict[str, Any], cpu: List[float], _base: float
+    ) -> Dict[str, Any]:
+        if mode != "query":
+            return {}
+        footprints.extend(answers[var].footprint for var in picked)
+        return {
+            "queries": [
+                {
+                    "var": var,
+                    "cpu_seconds": round(seconds, 6),
+                    "points_to": len(answers[var].points_to),
+                    "slice_variables": answers[var].slice_variables,
+                    "slice_methods": answers[var].slice_methods,
+                    "slice_tuples": answers[var].slice_tuples,
+                    "footprint": round(answers[var].footprint, 6),
+                }
+                for var, seconds in zip(picked, cpu)
             ]
-            if bad:
-                raise RuntimeError(
-                    f"warm session diverged from scratch on "
-                    f"{spec.name}/{flavor}: {', '.join(bad)}"
-                )
-            for kind in INCREMENTAL_EDIT_KINDS:
-                cell = f"{spec.name}/{flavor}/{kind}"
-                speedup = scratch_cpu / kind_cpu[kind]
-                speedups[cell] = round(speedup, 3)
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "edit": kind,
-                        "tiers": kind_tiers[kind],
-                        "seconds": round(kind_wall[kind], 6),
-                        "cpu_seconds": round(kind_cpu[kind], 6),
-                        "scratch_seconds": round(scratch_wall, 6),
-                        "scratch_cpu_seconds": round(scratch_cpu, 6),
-                        "result_rows_added": kind_rows[kind],
-                        "relations_checked": list(RESULT_RELATIONS),
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
-                )
-                say(
-                    f"  {flavor:7s} {kind:9s} "
-                    f"warm={kind_cpu[kind] * 1000:7.1f}ms "
-                    f"scratch={scratch_cpu:.3f}s  {speedup:.2f}x "
-                    f"[{'/'.join(sorted(set(kind_tiers[kind])))}]"
-                )
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
+        }
+
+    return Cell(full, {"query": query, "batch": batch}, check, detail)
+
+
+def _demand_cells(
+    specs: Sequence[BenchmarkSpec], flavors: Sequence[str], opts: _Options
+) -> Iterator[Tuple[str, str, Cell]]:
+    from ..query import QueryEngine
+
+    rng = random.Random(opts.seed)
+    warmup: Dict[str, float] = {}
+    footprints: List[float] = []
+    for name, program, facts in _programs(specs, opts):
+        variables = sorted({var for var, _m in facts.varinmeth})
+        picked = rng.sample(variables, min(opts.queries, len(variables)))
+        w0 = time.perf_counter()
+        engine = QueryEngine(program, facts=facts)
+        warmup[name] = round(time.perf_counter() - w0, 6)
+        for flavor in flavors:
+            yield name, flavor, _demand_cell(engine, picked, flavor, footprints)
+    median = sorted(footprints)[len(footprints) // 2]
+    opts.say(f"median footprint: {median:.4f}")
+    opts.detail.update(
+        queries=opts.queries,
+        seed=opts.seed,
+        warmup_seconds=warmup,
+        median_footprint=round(median, 6),
     )
-    say(f"geomean speedup: {geomean:.2f}x")
-    return {
-        "schema": INCREMENTAL_BENCH_SCHEMA,
-        "suite": suite,
-        "flavors": list(flavors),
-        "repeat": repeat,
-        "edit_kinds": list(INCREMENTAL_EDIT_KINDS),
-        "workers": 1,
-        **_provenance(),
-        "engines": ["warm", "scratch"],
-        "entries": entries,
-        "speedups": speedups,
-        "geomean_speedup": round(geomean, 3),
-    }
 
 
-def run_demand_suite(
+#: The four comparisons, by ``--compare`` name.
+COMPARISONS: Dict[str, Comparison] = {
+    "solver": Comparison(
+        _SUITES, DEFAULT_FLAVORS, "reference", "packed", _solver_cells
+    ),
+    "datalog": Comparison(
+        _DATALOG_SUITES, DEFAULT_FLAVORS, "reference", "compiled", _datalog_cells
+    ),
+    "incremental": Comparison(
+        _SUITES, DEFAULT_FLAVORS, "scratch", "warm", _incremental_cells
+    ),
+    "demand": Comparison(
+        _SUITES, DEFAULT_DEMAND_FLAVORS, "packed-full", "packed-slice", _demand_cells
+    ),
+}
+
+
+def _comparison(name: str) -> Comparison:
+    try:
+        return COMPARISONS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown comparison {name!r}; try one of: {', '.join(COMPARISONS)}"
+        ) from None
+
+
+def suite_names(comparison: str = "solver") -> List[str]:
+    return sorted(_comparison(comparison).suites)
+
+
+def suite_specs(
+    suite: str, comparison: str = "solver"
+) -> Tuple[BenchmarkSpec, ...]:
+    try:
+        return _comparison(comparison).suites[suite]
+    except KeyError:
+        raise ValueError(
+            f"unknown suite {suite!r}; try one of: "
+            f"{', '.join(suite_names(comparison))}"
+        ) from None
+
+
+def _measure(run: Run) -> Tuple[Any, List[Tuple[float, float]]]:
+    """Run once; return its result and (cpu, wall) seconds per section."""
+    laps: List[Tuple[float, float]] = []
+
+    def timed(fn: Callable[[], Any], items: int = 1) -> Any:
+        gc.collect()
+        gc.disable()
+        try:
+            w0 = time.perf_counter()
+            c0 = time.process_time()
+            out = fn()
+            cpu = time.process_time() - c0
+            wall = time.perf_counter() - w0
+        finally:
+            gc.enable()
+        laps.append((cpu / items, wall / items))
+        return out
+
+    return run(timed), laps
+
+
+def run_comparison(
+    name: str,
     suite: str = "medium",
-    flavors: Sequence[str] = DEFAULT_DEMAND_FLAVORS,
+    flavors: Optional[Sequence[str]] = None,
     repeat: int = 3,
+    progress: Optional[Callable[[str], None]] = None,
     queries: int = 6,
     seed: int = 2014,
-    progress: Optional[Callable[[str], None]] = None,
+    tracers: Optional[List[Tracer]] = None,
 ) -> Dict[str, object]:
-    """Benchmark demand queries against full solves; return the report.
+    """Measure one comparison over a suite; return the ``repro-bench/2`` report.
 
-    Per (benchmark, flavor) cell: one full packed solve (best of
-    ``repeat``, the same GC hygiene as :func:`run_suite`) is the
-    baseline; ``queries`` variables drawn by a seeded RNG are then
-    answered two ways through one warm :class:`~repro.query.QueryEngine`:
-
-    * ``query`` — each variable alone, memos cleared before every timing
-      so the latency is a cold plan + sliced solve (the planner and the
-      insensitive pass stay warm — the steady state of a long-lived
-      engine, whose one-time warm-up is reported separately);
-    * ``batch`` — all variables in one ``query_batch`` sharing a single
-      union-solve; its per-query cost is the batch wall clock divided by
-      the number of variables.
-
-    Speedup cells (``bench/flavor/query`` and ``bench/flavor/batch``)
-    divide the full-solve wall clock by the per-query wall clock, so
-    they read "a query costs 1/Nth of solving the program".  Every
-    answer is asserted equal to the full solve's projection for that
-    variable — a disagreement means the slice closure is broken and the
-    timings would be meaningless.
+    ``flavors`` defaults to the comparison's own sweep.  ``queries`` and
+    ``seed`` pick the demand comparison's variables.  ``tracers`` (solver
+    only) adds the ``traced`` variant; the tracer of each traced solve is
+    appended to it, so the caller can export the last.  Raises ``ValueError`` for bad arguments and ``RuntimeError``
+    when a candidate disagrees with its baseline.
     """
+    comparison = _comparison(name)
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
     if queries < 1:
         raise ValueError("queries must be >= 1")
-    from ..analysis import analyze
-    from ..query import QueryEngine
-
-    specs = suite_specs(suite)
-    rng = random.Random(seed)
+    flavors = list(comparison.flavors if flavors is None else flavors)
+    if not flavors:
+        raise ValueError("flavors must name at least one context flavor")
+    if tracers is not None and name != "solver":
+        raise ValueError(
+            f"--trace times the packed solver; the {name} comparison "
+            "has no traced variant"
+        )
+    specs = suite_specs(suite, name)
 
     def say(msg: str) -> None:
         if progress is not None:
             progress(msg)
 
+    opts = _Options(say, queries, seed, tracers)
     entries: List[Dict[str, object]] = []
     speedups: Dict[str, float] = {}
-    footprints: List[float] = []
-    warmup_seconds: Dict[str, float] = {}
-    for spec in specs:
-        program = generate(spec)
-        facts = encode_program(program)
-        say(f"{spec.name}: {program.summary()}")
-        all_vars = sorted({var for var, _m in facts.varinmeth})
-        picked = rng.sample(all_vars, min(queries, len(all_vars)))
-        w0 = time.perf_counter()
-        engine = QueryEngine(program, facts=facts)
-        warmup_seconds[spec.name] = round(time.perf_counter() - w0, 6)
-        for flavor in flavors:
-            policy = engine.policy(flavor)
-            full_wall = math.inf
-            full = None
-            for _ in range(repeat):
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    raw = analyze(program, policy, facts=facts)
-                    wall = time.perf_counter() - t0
-                finally:
-                    gc.enable()
-                if wall < full_wall:
-                    full_wall = wall
-                    full = raw
-                raw = None
-            cell_speedups: List[float] = []
-            for var in picked:
-                best = math.inf
-                answer = None
-                for _ in range(repeat):
-                    engine.clear_memos()
-                    gc.collect()
-                    gc.disable()
-                    try:
-                        answer = engine.query(var, flavor)
-                    finally:
-                        gc.enable()
-                    best = min(best, answer.seconds)
-                expected = frozenset(full.var_points_to.get(var, ()))
-                if answer.points_to != expected:
-                    raise RuntimeError(
-                        f"demand/full disagreement on "
-                        f"{spec.name}/{flavor}/{var}: "
-                        f"query={len(answer.points_to)} "
-                        f"full={len(expected)} heaps"
-                    )
-                speedup = full_wall / best if best > 0 else math.inf
-                cell_speedups.append(speedup)
-                footprints.append(answer.footprint)
-                entries.append(
-                    {
-                        "benchmark": spec.name,
-                        "flavor": flavor,
-                        "var": var,
-                        "query_seconds": round(best, 6),
-                        "full_seconds": round(full_wall, 6),
-                        "speedup": round(speedup, 3),
-                        "points_to": len(answer.points_to),
-                        "slice_variables": answer.slice_variables,
-                        "slice_methods": answer.slice_methods,
-                        "slice_tuples": answer.slice_tuples,
-                        "footprint": round(answer.footprint, 6),
-                        "peak_rss_kb": _peak_rss_kb(),
-                    }
+    pooled: List[float] = []
+    for benchmark, flavor, cell in comparison.cells(specs, flavors, opts):
+        # Best (cpu, wall) per timed section and last result, keyed by
+        # variant; None is the baseline, which runs after the candidates.
+        runs = [*cell.variants.items(), (None, cell.baseline)]
+        best: Dict[Optional[str], List[Tuple[float, float]]] = {}
+        last: Dict[Optional[str], Any] = {}
+        for _ in range(repeat):
+            for variant, run in runs:
+                last[variant], laps = _measure(run)
+                best[variant] = [
+                    (min(c0, c1), min(w0, w1))
+                    for (c0, w0), (c1, w1) in zip(best.get(variant, laps), laps)
+                ]
+        base_cpu = _geomean(c for c, _w in best[None])
+        base_wall = _geomean(w for _c, w in best[None])
+        for variant in cell.variants:
+            work, problem = cell.check(variant, last[variant], last[None])
+            if problem is not None:
+                raise RuntimeError(
+                    f"{name} disagreement on {benchmark}/{flavor}/{variant}: "
+                    f"{problem}"
                 )
-            batch_wall = math.inf
-            for _ in range(repeat):
-                engine.clear_memos()
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    outcomes = engine.query_batch(picked, flavor)
-                    wall = time.perf_counter() - t0
-                finally:
-                    gc.enable()
-                batch_wall = min(batch_wall, wall)
-            for outcome in outcomes:
-                expected = frozenset(
-                    full.var_points_to.get(outcome.var, ())
-                )
-                if (
-                    outcome.answer is None
-                    or outcome.answer.points_to != expected
-                ):
-                    raise RuntimeError(
-                        f"batch/full disagreement on "
-                        f"{spec.name}/{flavor}/{outcome.var}"
-                    )
-            per_query = batch_wall / len(picked)
-            cell = f"{spec.name}/{flavor}"
-            query_speedup = math.exp(
-                sum(math.log(s) for s in cell_speedups)
-                / len(cell_speedups)
+            cpu = [c for c, _w in best[variant]]
+            speedup = base_cpu / _geomean(cpu)
+            entries.append(
+                {
+                    "benchmark": benchmark,
+                    "flavor": flavor,
+                    "variant": variant,
+                    "cpu_seconds": round(_geomean(cpu), 6),
+                    "seconds": round(_geomean(w for _c, w in best[variant]), 6),
+                    "baseline_cpu_seconds": round(base_cpu, 6),
+                    "baseline_seconds": round(base_wall, 6),
+                    "work": work,
+                    "peak_rss_kb": _peak_rss_kb(),
+                    "detail": cell.detail(variant, last[variant], cpu, base_cpu),
+                }
             )
-            batch_speedup = full_wall / per_query if per_query > 0 else math.inf
-            speedups[f"{cell}/query"] = round(query_speedup, 3)
-            speedups[f"{cell}/batch"] = round(batch_speedup, 3)
+            speedups[f"{benchmark}/{flavor}/{variant}"] = round(speedup, 3)
+            # The geomean covers the candidate against the comparison's
+            # baseline; ``traced`` is measured against the packed solve.
+            if variant != "traced":
+                pooled.append(speedup)
             say(
-                f"  {flavor:15s} full={full_wall:.3f}s "
-                f"query={query_speedup:.1f}x batch={batch_speedup:.1f}x"
+                f"  {flavor:15s} {variant:9s} baseline={base_cpu:.4f}s "
+                f"{variant}={_geomean(cpu):.4f}s  {speedup:.2f}x"
             )
-            full = None
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
-    )
-    ordered = sorted(footprints)
-    median_footprint = ordered[len(ordered) // 2]
-    say(
-        f"geomean speedup: {geomean:.2f}x  "
-        f"median footprint: {median_footprint:.4f}"
-    )
-    return {
-        "schema": DEMAND_BENCH_SCHEMA,
+    geomean = _geomean(pooled)
+    say(f"geomean speedup: {geomean:.2f}x")
+    report: Dict[str, object] = {
+        "schema": BENCH_SCHEMA,
+        "comparison": name,
         "suite": suite,
-        "flavors": list(flavors),
+        "flavors": flavors,
         "repeat": repeat,
-        "queries": queries,
-        "seed": seed,
-        "workers": 1,
         **_provenance(),
-        "engines": ["packed-full", "packed-slice"],
-        "warmup_seconds": warmup_seconds,
+        "baseline": comparison.baseline,
+        "candidate": comparison.candidate,
         "entries": entries,
         "speedups": speedups,
-        "median_footprint": round(median_footprint, 6),
         "geomean_speedup": round(geomean, 3),
     }
-
-
-def run_trace_cell(
-    suite: str = "medium",
-    flavor: str = "2objH",
-    repeat: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[Dict[str, object], Tracer]:
-    """Measure tracing overhead on one cell; return (cell report, tracer).
-
-    Runs the first benchmark of ``suite`` under the packed solver twice
-    per repeat — once with a :class:`~repro.obs.Tracer` attached, once
-    without, interleaved with the same GC hygiene as :func:`run_suite` —
-    and keeps the best CPU time of each mode.  ``overhead_percent`` is how
-    much slower the best traced solve was than the best untraced one; the
-    tracer's design target is <5% (``docs/observability.md``).  The two
-    modes must derive the same tuple count — tracing that changed the
-    result would be a bug, and :mod:`repro.fuzz` has an oracle for it.
-
-    The returned tracer holds the spans of the *last* traced solve (each
-    repeat uses a fresh tracer so span counts describe one run).
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    spec = suite_specs(suite)[0]
-    program = generate(spec)
-    facts = encode_program(program)
-    policy = policy_by_name(flavor, alloc_class_of=facts.alloc_class_of)
-
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    say(f"trace cell: {spec.name}/{flavor} ({program.summary()})")
-    best_cpu = {"traced": math.inf, "untraced": math.inf}
-    tuples: Dict[str, int] = {}
-    tracer = Tracer()
-    for _ in range(repeat):
-        for mode in ("untraced", "traced"):
-            cell_tracer = Tracer() if mode == "traced" else None
-            gc.collect()
-            gc.disable()
-            try:
-                c0 = time.process_time()
-                raw = packed_solve(
-                    program, policy, facts=facts, tracer=cell_tracer
-                )
-                cpu = time.process_time() - c0
-            finally:
-                gc.enable()
-            best_cpu[mode] = min(best_cpu[mode], cpu)
-            tuples[mode] = raw.tuple_count
-            if cell_tracer is not None:
-                tracer = cell_tracer
-            raw = None
-    if tuples["traced"] != tuples["untraced"]:
-        raise RuntimeError(
-            f"tracing changed the result on {spec.name}/{flavor}: "
-            f"traced={tuples['traced']} untraced={tuples['untraced']} tuples"
-        )
-    overhead = (
-        (best_cpu["traced"] / best_cpu["untraced"] - 1.0) * 100.0
-        if best_cpu["untraced"] > 0
-        else 0.0
-    )
-    say(
-        f"  untraced={best_cpu['untraced']:.3f}s "
-        f"traced={best_cpu['traced']:.3f}s  overhead={overhead:+.2f}%"
-    )
-    cell: Dict[str, object] = {
-        "benchmark": spec.name,
-        "flavor": flavor,
-        "repeat": repeat,
-        "tuples": tuples["traced"],
-        "untraced_cpu_seconds": round(best_cpu["untraced"], 6),
-        "traced_cpu_seconds": round(best_cpu["traced"], 6),
-        "overhead_percent": round(overhead, 2),
-        "span_names": tracer.span_names(),
-        "events": len(tracer.chrome_trace()["traceEvents"]),
-    }
-    return cell, tracer
+    if opts.detail:
+        report["detail"] = opts.detail
+    return report
 
 
 def write_report(report: Dict[str, object], path: str) -> None:

@@ -16,7 +16,7 @@ The subsystem has four layers, bottom-up:
 * :mod:`~repro.incremental.session` — the warm
   :class:`~repro.incremental.session.IncrementalSession` tying it
   together; the service's ``/sessions`` endpoints and ``repro bench
-  --incremental`` sit on top of it.
+  --compare incremental`` sit on top of it.
 
 See ``docs/incremental.md`` for the full tour.
 """

@@ -1,23 +1,18 @@
-"""Schema adapters: every results artifact becomes a receipt.
+"""Adapters: every results artifact becomes a receipt.
 
-The warehouse ingests two generations of evidence:
+The warehouse ingests two kinds of file:
 
-* native receipts (``repro-receipt/1``) written by the producers since
-  the warehouse existed, and
-* the three committed legacy artifacts — ``BENCH_solver.json``
-  (``repro-bench-solver/1``), ``BENCH_datalog.json``
-  (``repro-bench-datalog/1``) and ``BENCH_incremental.json``
-  (``repro-bench-incremental/1``) — which predate it.
-  ``BENCH_demand.json`` (``repro-bench-demand/1``) adapts through the
-  same path.
+* native receipts (``repro-receipt/1``), written by every producer, and
+* bench reports (``repro-bench/2``) — the committed ``BENCH_*.json``
+  files and anything ``repro bench --output`` wrote — which are wrapped
+  into a ``bench-<comparison>`` receipt.
 
-:func:`adapt` dispatches on the ``schema`` field and wraps a legacy
-report into a receipt without touching the report itself: the payload is
-the report verbatim, the provenance block is lifted from the report's
-own host keys (``git_rev`` and ``created_at`` stay ``null`` — legacy
-artifacts recorded neither), and the identity is the report's
-suite/flavor/engine header.  Adaptation is deterministic, so the same
-artifact always maps to the same content address.
+:func:`adapt` wraps a report without touching it: the payload is the
+report verbatim, the provenance block is lifted from the report's own
+host keys (``git_rev`` and ``created_at`` stay ``null`` — a report
+records neither), and the identity is the report's comparison, suite,
+flavors, baseline and candidate.  Adaptation is deterministic, so the
+same report always maps to the same content address.
 
 The ``receipt_from_*`` builders are the producer-side glue: they stamp
 ``created_at`` and a fresh host provenance (including the current git
@@ -32,15 +27,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from .receipt import (
-    RECEIPT_SCHEMA,
-    host_provenance,
-    make_receipt,
-    validate_receipt,
-)
+from .receipt import BENCH_SCHEMA, RECEIPT_SCHEMA, make_receipt, validate_receipt
 
 __all__ = [
-    "BENCH_SCHEMA_KINDS",
     "adapt",
     "ingest",
     "load_any",
@@ -49,37 +38,31 @@ __all__ = [
     "receipt_from_service_job",
 ]
 
-#: Legacy bench schema -> receipt kind.
-BENCH_SCHEMA_KINDS: Dict[str, str] = {
-    "repro-bench-solver/1": "bench-solver",
-    "repro-bench-datalog/1": "bench-datalog",
-    "repro-bench-incremental/1": "bench-incremental",
-    "repro-bench-demand/1": "bench-demand",
-}
-
-#: Host keys a legacy report carries (harness.bench._provenance).
+#: Host keys a bench report carries (harness.bench._provenance).
 _REPORT_HOST_KEYS = ("python", "platform", "cpu_count", "gc_enabled")
+#: Report keys that identify a bench run.
+_REPORT_IDENTITY_KEYS = ("comparison", "suite", "flavors", "baseline", "candidate")
 
 
-def _bench_identity(report: Dict[str, Any]) -> Dict[str, Any]:
-    """The suite/flavor/engine header of any ``BENCH_*.json`` report."""
-    identity: Dict[str, Any] = {
-        "suite": report.get("suite"),
-        "flavors": report.get("flavors"),
-        "engines": report.get("engines"),
-        "workers": report.get("workers", 1),
-    }
-    if "edit_kinds" in report:
-        identity["edit_kinds"] = report["edit_kinds"]
-    return identity
+def _bench_receipt(
+    report: Dict[str, Any],
+    created_at: Optional[float],
+    provenance: Optional[Dict[str, Any]],
+) -> Dict[str, Any]:
+    return make_receipt(
+        f"bench-{report.get('comparison')}",
+        identity={key: report.get(key) for key in _REPORT_IDENTITY_KEYS},
+        payload=report,
+        created_at=created_at,
+        provenance=provenance,
+    )
 
 
 def adapt(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Turn any known results artifact into a validated receipt.
+    """Turn a receipt or a bench report into a validated receipt.
 
-    Native receipts pass through untouched; legacy bench reports are
-    wrapped.  Raises ``ValueError`` for unknown schemas or malformed
-    artifacts.
+    Native receipts pass through untouched; bench reports are wrapped.
+    Raises ``ValueError`` for unknown schemas or malformed artifacts.
     """
     if not isinstance(data, dict):
         raise ValueError("artifact must be a JSON object")
@@ -87,25 +70,18 @@ def adapt(data: Dict[str, Any]) -> Dict[str, Any]:
     if schema == RECEIPT_SCHEMA:
         validate_receipt(data)
         return data
-    kind = BENCH_SCHEMA_KINDS.get(schema)
-    if kind is None:
+    if schema != BENCH_SCHEMA:
         raise ValueError(
             f"unknown artifact schema {schema!r}; expected {RECEIPT_SCHEMA!r} "
-            f"or one of: {', '.join(sorted(BENCH_SCHEMA_KINDS))}"
+            f"or {BENCH_SCHEMA!r}"
         )
     provenance = {key: data.get(key) for key in _REPORT_HOST_KEYS}
     provenance["git_rev"] = None
-    return make_receipt(
-        kind,
-        identity=_bench_identity(data),
-        payload=data,
-        created_at=None,
-        provenance=provenance,
-    )
+    return _bench_receipt(data, None, provenance)
 
 
 def load_any(path: str) -> Dict[str, Any]:
-    """Load one file (receipt or legacy report) as a receipt."""
+    """Load one file (receipt or bench report) as a receipt."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -158,14 +134,10 @@ def receipt_from_bench_report(
     and the current host/git provenance — the report's own host keys stay
     inside the payload, so nothing is lost if the two ever diverge.
     """
-    kind = BENCH_SCHEMA_KINDS.get(report.get("schema"))
-    if kind is None:
+    if report.get("schema") != BENCH_SCHEMA:
         raise ValueError(f"not a bench report: schema {report.get('schema')!r}")
-    return make_receipt(
-        kind,
-        identity=_bench_identity(report),
-        payload=report,
-        created_at=time.time() if created_at is None else created_at,
+    return _bench_receipt(
+        report, time.time() if created_at is None else created_at, None
     )
 
 

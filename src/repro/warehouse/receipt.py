@@ -6,7 +6,7 @@ with everything needed to interpret the numbers later:
 
 * ``kind`` — which producer wrote it (one of :data:`KINDS`);
 * ``created_at`` — unix seconds when the run finished (``null`` for
-  receipts adapted from legacy ``BENCH_*.json`` artifacts, which carry
+  receipts adapted from committed ``BENCH_*.json`` reports, which carry
   no timestamp; the scorer orders them before any stamped receipt);
 * ``provenance`` — the host block every ``BENCH_*.json`` already carries
   (``python``/``platform``/``cpu_count``/``gc_enabled``) plus
@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional
 from ..utils import atomic_write_text
 
 __all__ = [
+    "BENCH_SCHEMA",
     "KINDS",
     "RECEIPT_SCHEMA",
     "canonical_bytes",
@@ -56,6 +57,10 @@ __all__ = [
 
 RECEIPT_SCHEMA = "repro-receipt/1"
 
+#: The one report schema every ``repro bench`` comparison writes
+#: (``repro.harness.bench``); the warehouse wraps it as ``bench-<comparison>``.
+BENCH_SCHEMA = "repro-bench/2"
+
 #: Every producer that appends to the warehouse, by receipt ``kind``.
 KINDS = (
     "bench-solver",
@@ -67,7 +72,7 @@ KINDS = (
 )
 
 #: Host keys required in every provenance block (mirrors the block
-#: ``harness.bench._provenance`` stamps into every ``BENCH_*.json``).
+#: ``harness.bench._provenance`` stamps into every bench report).
 PROVENANCE_KEYS = ("python", "platform", "cpu_count", "gc_enabled", "git_rev")
 
 
@@ -155,7 +160,7 @@ def make_receipt(
     """Assemble (and validate) one receipt dict.
 
     ``provenance=None`` stamps the current host; pass an explicit block
-    when adapting a legacy report whose run happened elsewhere.
+    when adapting a committed report whose run happened elsewhere.
     """
     receipt: Dict[str, Any] = {
         "schema": RECEIPT_SCHEMA,

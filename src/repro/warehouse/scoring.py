@@ -4,15 +4,13 @@ Every receipt decomposes into **cells** — the atomic comparable unit of
 the perf trajectory, keyed by ``(kind, suite, benchmark, flavor,
 variant)``:
 
-* ``bench-solver`` / ``bench-datalog`` payloads contribute one cell per
-  ``speedups`` entry (variant = the live engine, ``packed`` or
-  ``compiled``), plus a ``traced`` cell when the report carries the
-  trace-overhead twin (value = untraced/traced CPU ratio, so the old
-  "<5% overhead" gate becomes an ordinary regression cell);
-* ``bench-incremental`` cells use the edit kind as the variant;
-* ``bench-demand`` cells carry per-query-vs-full-solve speedups with the
-  query mode as the variant (``query`` answers one variable at a time,
-  ``batch`` shares one union-solve);
+* ``bench-<comparison>`` receipts contribute one cell per ``speedups``
+  entry of their ``repro-bench/2`` report, keyed
+  ``benchmark/flavor/variant`` — the live engine (``packed``,
+  ``compiled``), the edit kind, or the query mode (``query``,
+  ``batch``).  The solver's ``traced`` variant is the untraced/traced
+  CPU ratio, so the "<5% overhead" check is also an ordinary regression
+  cell;
 * ``fuzz-campaign`` receipts contribute a throughput cell
   (programs/second, per seed);
 * ``service-job`` receipts contribute a solver-throughput cell for
@@ -24,8 +22,8 @@ Speedup-like cells (dimensionless ratios measured against a frozen
 in-process baseline) are robust across hosts; throughput cells
 (``per_second``) are host-relative and scored but reported separately.
 
-Scoring orders each cell's samples by ``created_at`` (legacy adapted
-receipts, which have none, sort first — they are the historical floor),
+Scoring orders each cell's samples by ``created_at`` (adapted reports,
+which have none, sort first — they are the historical floor),
 takes the earliest as the baseline (or the sample from an explicitly
 chosen baseline receipt) and the latest as current, and computes
 ``delta_percent``.  The gate fails a cell when its regression reaches
@@ -132,34 +130,12 @@ def cells_of(receipt: Dict[str, Any]) -> List[Dict[str, Any]]:
             }
         )
 
-    if kind in ("bench-solver", "bench-datalog"):
-        suite = str(identity.get("suite"))
-        engines = payload.get("engines") or []
-        live = str(engines[-1]) if engines else "live"
-        for name, value in (payload.get("speedups") or {}).items():
-            parts = name.split("/")
-            if len(parts) == 2:
-                bench, flavor = parts
-                cell(suite, bench, flavor, live, value)
-        trace = payload.get("trace")
-        if trace and trace.get("traced_cpu_seconds"):
-            ratio = trace["untraced_cpu_seconds"] / trace["traced_cpu_seconds"]
-            cell(
-                suite,
-                str(trace.get("benchmark")),
-                str(trace.get("flavor")),
-                "traced",
-                ratio,
-            )
-    elif kind in ("bench-incremental", "bench-demand"):
-        # incremental: variant is the edit kind; demand: variant is the
-        # query mode ("query" per-variable, "batch" shared union-solve).
+    if kind.startswith("bench-"):
         suite = str(identity.get("suite"))
         for name, value in (payload.get("speedups") or {}).items():
             parts = name.split("/")
             if len(parts) == 3:
-                bench, flavor, variant = parts
-                cell(suite, bench, flavor, variant, value)
+                cell(suite, *parts, value)
     elif kind == "fuzz-campaign":
         stats = payload.get("stats") or {}
         seconds = stats.get("seconds") or 0.0

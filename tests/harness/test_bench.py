@@ -1,11 +1,15 @@
-"""Tests for the engine benchmark harness (solver and Datalog columns)."""
+"""Tests for the engine-comparison loop and its ``repro-bench/2`` report."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import time
+import types
 
 import pytest
 
+import repro.harness.bench as bench
 from repro.analysis.reference_solver import reference_solve
 from repro.analysis.solver import solve as packed_solve
 from repro.benchgen.generator import generate
@@ -13,14 +17,9 @@ from repro.contexts.policies import policy_by_name
 from repro.facts.encoder import encode_program
 from repro.harness.bench import (
     BENCH_SCHEMA,
-    DATALOG_BENCH_SCHEMA,
-    DATALOG_ENGINES,
+    COMPARISONS,
     DEFAULT_FLAVORS,
-    ENGINES,
-    datalog_suite_names,
-    datalog_suite_specs,
-    run_datalog_suite,
-    run_suite,
+    run_comparison,
     suite_names,
     suite_specs,
     write_report,
@@ -29,6 +28,39 @@ from repro.harness.bench import (
 #: Every BENCH_*.json carries this provenance block so scaling numbers
 #: stay interpretable across machines (docs/performance.md).
 PROVENANCE_KEYS = {"python", "platform", "cpu_count", "gc_enabled"}
+
+#: Keys of every entry, whatever the comparison.
+ENTRY_KEYS = {
+    "benchmark", "flavor", "variant", "cpu_seconds", "seconds",
+    "baseline_cpu_seconds", "baseline_seconds", "work", "peak_rss_kb",
+    "detail",
+}
+
+
+def _check_report(report, comparison, variants):
+    """Shape every ``repro-bench/2`` report shares."""
+    spec = COMPARISONS[comparison]
+    assert report["schema"] == BENCH_SCHEMA
+    assert report["comparison"] == comparison
+    assert report["suite"] == "tiny"
+    assert report["baseline"] == spec.baseline
+    assert report["candidate"] == spec.candidate
+    specs = suite_specs("tiny", comparison)
+    cells = len(specs) * len(report["flavors"])
+    assert len(report["entries"]) == cells * len(variants)
+    for entry in report["entries"]:
+        assert set(entry) == ENTRY_KEYS
+        assert entry["variant"] in variants
+        assert entry["cpu_seconds"] > 0
+        assert entry["baseline_cpu_seconds"] > 0
+        assert entry["seconds"] >= 0
+        key = f"{entry['benchmark']}/{entry['flavor']}/{entry['variant']}"
+        # Every speedup is a CPU-time ratio.
+        assert report["speedups"][key] == pytest.approx(
+            entry["baseline_cpu_seconds"] / entry["cpu_seconds"], rel=1e-2
+        )
+    assert len(report["speedups"]) == cells * len(variants)
+    assert report["geomean_speedup"] > 0
 
 
 class TestSuiteRegistry:
@@ -41,42 +73,37 @@ class TestSuiteRegistry:
 
     def test_repeat_must_be_positive(self):
         with pytest.raises(ValueError, match="repeat"):
-            run_suite("tiny", repeat=0)
+            run_comparison("solver", "tiny", repeat=0)
+
+    def test_unknown_comparison_rejected(self):
+        with pytest.raises(ValueError, match="unknown comparison"):
+            run_comparison("quantum", "tiny")
 
 
 class TestRunSuite:
     def test_tiny_suite_report_shape(self):
         messages = []
-        report = run_suite(
-            "tiny", repeat=1, progress=messages.append
+        report = run_comparison(
+            "solver", "tiny", repeat=1, progress=messages.append
         )
-        assert report["schema"] == BENCH_SCHEMA
-        assert report["suite"] == "tiny"
         assert report["flavors"] == list(DEFAULT_FLAVORS)
-        assert report["engines"] == list(ENGINES)
-        specs = suite_specs("tiny")
-        expected = len(specs) * len(DEFAULT_FLAVORS) * len(ENGINES)
-        assert len(report["entries"]) == expected
-        for entry in report["entries"]:
-            assert entry["engine"] in ENGINES
-            assert entry["seconds"] >= 0
-            assert entry["cpu_seconds"] >= 0
-            assert entry["tuples"] > 0
-        # One speedup cell per (benchmark, flavor); geomean over them.
-        assert len(report["speedups"]) == len(specs) * len(DEFAULT_FLAVORS)
-        assert report["geomean_speedup"] > 0
+        _check_report(report, "solver", {"packed"})
+        assert all(e["work"] > 0 for e in report["entries"])
         assert any("geomean" in m for m in messages)
 
     def test_engines_agree_on_tuples_per_cell(self):
-        report = run_suite("tiny", flavors=("2objH",), repeat=1)
-        by_cell = {}
-        for entry in report["entries"]:
-            cell = (entry["benchmark"], entry["flavor"])
-            by_cell.setdefault(cell, set()).add(entry["tuples"])
-        assert all(len(counts) == 1 for counts in by_cell.values())
+        # The loop checks agreement; the agreed count is the entry's work.
+        report = run_comparison("solver", "tiny", flavors=("2objH",), repeat=1)
+        (entry,) = report["entries"]
+        (spec,) = suite_specs("tiny")
+        program = generate(spec)
+        facts = encode_program(program)
+        policy = policy_by_name("2objH", alloc_class_of=facts.alloc_class_of)
+        expected = reference_solve(program, policy, facts=facts).tuple_count
+        assert entry["work"] == expected
 
     def test_write_report_round_trips(self, tmp_path):
-        report = run_suite("tiny", flavors=("2objH",), repeat=1)
+        report = run_comparison("solver", "tiny", flavors=("2objH",), repeat=1)
         path = tmp_path / "BENCH_solver.json"
         write_report(report, str(path))
         assert json.loads(path.read_text()) == json.loads(
@@ -86,45 +113,38 @@ class TestRunSuite:
 
 class TestDatalogSuite:
     def test_known_suites(self):
-        assert {"tiny", "small", "medium"} <= set(datalog_suite_names())
+        assert {"tiny", "small", "medium"} <= set(suite_names("datalog"))
 
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown datalog suite"):
-            datalog_suite_specs("nope")
+        with pytest.raises(ValueError, match="unknown suite"):
+            suite_specs("nope", "datalog")
 
     def test_repeat_must_be_positive(self):
         with pytest.raises(ValueError, match="repeat"):
-            run_datalog_suite("tiny", repeat=0)
+            run_comparison("datalog", "tiny", repeat=0)
 
     def test_tiny_suite_report_shape(self):
         messages = []
-        report = run_datalog_suite("tiny", repeat=1, progress=messages.append)
-        assert report["schema"] == DATALOG_BENCH_SCHEMA
-        assert report["suite"] == "tiny"
+        report = run_comparison(
+            "datalog", "tiny", repeat=1, progress=messages.append
+        )
         assert report["flavors"] == list(DEFAULT_FLAVORS)
-        assert report["engines"] == list(DATALOG_ENGINES)
-        specs = datalog_suite_specs("tiny")
-        expected = len(specs) * len(DEFAULT_FLAVORS) * len(DATALOG_ENGINES)
-        assert len(report["entries"]) == expected
-        for entry in report["entries"]:
-            assert entry["engine"] in DATALOG_ENGINES
-            assert entry["seconds"] >= 0
-            assert entry["cpu_seconds"] >= 0
-            assert entry["rows"] > 0
-        assert len(report["speedups"]) == len(specs) * len(DEFAULT_FLAVORS)
-        assert report["geomean_speedup"] > 0
+        _check_report(report, "datalog", {"compiled"})
+        assert all(e["work"] > 0 for e in report["entries"])
         assert any("geomean" in m for m in messages)
 
     def test_engines_agree_on_rows_per_cell(self):
-        report = run_datalog_suite("tiny", flavors=("2objH",), repeat=1)
-        by_cell = {}
-        for entry in report["entries"]:
-            cell = (entry["benchmark"], entry["flavor"])
-            by_cell.setdefault(cell, set()).add(entry["rows"])
-        assert all(len(counts) == 1 for counts in by_cell.values())
+        report = run_comparison(
+            "datalog", "tiny", flavors=("2objH",), repeat=1
+        )
+        (entry,) = report["entries"]
+        assert entry["variant"] == "compiled"
+        assert entry["work"] > 0
 
     def test_write_report_round_trips(self, tmp_path):
-        report = run_datalog_suite("tiny", flavors=("2typeH",), repeat=1)
+        report = run_comparison(
+            "datalog", "tiny", flavors=("2typeH",), repeat=1
+        )
         path = tmp_path / "BENCH_datalog.json"
         write_report(report, str(path))
         assert json.loads(path.read_text()) == json.loads(json.dumps(report))
@@ -132,14 +152,85 @@ class TestDatalogSuite:
 
 class TestProvenance:
     def test_every_report_kind_records_host_provenance(self):
-        solver = run_suite("tiny", flavors=("2objH",), repeat=1)
-        datalog = run_datalog_suite("tiny", flavors=("2objH",), repeat=1)
+        solver = run_comparison("solver", "tiny", flavors=("2objH",), repeat=1)
+        datalog = run_comparison(
+            "datalog", "tiny", flavors=("2objH",), repeat=1
+        )
         for report in (solver, datalog):
             assert PROVENANCE_KEYS <= set(report)
             assert report["cpu_count"] >= 1
             assert isinstance(report["gc_enabled"], bool)
-        assert solver["workers"] == 1
-        assert datalog["workers"] == 1
+
+
+def _wrong_packed(monkeypatch):
+    def solve(*args, **kwargs):
+        raw = packed_solve(*args, **kwargs)
+        return types.SimpleNamespace(tuple_count=raw.tuple_count + 1)
+
+    monkeypatch.setattr(bench, "packed_solve", solve)
+    return "micro/2objH/packed"
+
+
+def _wrong_compiled(monkeypatch):
+    class OffByOne(bench.CompiledEngine):
+        def run(self):
+            db = super().run()
+            db.add_fact("BogusRow", ("x",))
+            return db
+
+    monkeypatch.setattr(bench, "CompiledEngine", OffByOne)
+    return "dl-micro/2objH/compiled"
+
+
+def _wrong_warm(monkeypatch):
+    relations = bench.IncrementalSession.relations
+
+    def diverged(self):
+        out = relations(self)
+        out["VARPOINTSTO"] = out["VARPOINTSTO"] | {("bogus",)}
+        return out
+
+    monkeypatch.setattr(bench.IncrementalSession, "relations", diverged)
+    return "micro/2objH/alloc"
+
+
+def _wrong_answer(monkeypatch):
+    from repro.query import QueryEngine
+
+    query = QueryEngine.query
+
+    def extra_heap(self, *args, **kwargs):
+        answer = query(self, *args, **kwargs)
+        return dataclasses.replace(
+            answer, points_to=answer.points_to | {"<bogus heap>"}
+        )
+
+    monkeypatch.setattr(QueryEngine, "query", extra_heap)
+    return "micro/2objH/query"
+
+
+class TestCorrectnessGate:
+    """A candidate that disagrees with its baseline fails the run, and the
+    error names the cell — a speedup from computing less is not one."""
+
+    @pytest.mark.parametrize(
+        "comparison,inject",
+        [
+            ("solver", _wrong_packed),
+            ("datalog", _wrong_compiled),
+            ("incremental", _wrong_warm),
+            ("demand", _wrong_answer),
+        ],
+    )
+    def test_disagreement_raises_naming_the_cell(
+        self, comparison, inject, monkeypatch
+    ):
+        cell = inject(monkeypatch)
+        with pytest.raises(RuntimeError) as info:
+            run_comparison(
+                comparison, "tiny", flavors=("2objH",), repeat=1, queries=2
+            )
+        assert f"{comparison} disagreement on {cell}" in str(info.value)
 
 
 class TestEngineEquivalence:
@@ -250,51 +341,75 @@ class TestWriteReportAtomicity:
 
 class TestDemandSuite:
     def test_repeat_and_queries_validated(self):
-        from repro.harness.bench import run_demand_suite
-
         with pytest.raises(ValueError, match="repeat"):
-            run_demand_suite("tiny", repeat=0)
+            run_comparison("demand", "tiny", repeat=0)
         with pytest.raises(ValueError, match="queries"):
-            run_demand_suite("tiny", queries=0)
+            run_comparison("demand", "tiny", queries=0)
 
     def test_tiny_suite_report_shape(self):
-        from repro.harness.bench import DEMAND_BENCH_SCHEMA, run_demand_suite
-
         messages = []
         flavors = ("2objH", "2typeH")
         queries = 2
-        report = run_demand_suite(
+        report = run_comparison(
+            "demand",
             "tiny",
             flavors=flavors,
             repeat=1,
             queries=queries,
             progress=messages.append,
         )
-        assert report["schema"] == DEMAND_BENCH_SCHEMA
-        assert report["engines"] == ["packed-full", "packed-slice"]
+        _check_report(report, "demand", {"query", "batch"})
         assert PROVENANCE_KEYS <= set(report)
-        assert report["workers"] == 1
         specs = suite_specs("tiny")
-        assert set(report["warmup_seconds"]) == {s.name for s in specs}
-        # One entry per (benchmark, flavor, sampled variable) ...
-        assert len(report["entries"]) == len(specs) * len(flavors) * queries
+        detail = report["detail"]
+        assert set(detail["warmup_seconds"]) == {s.name for s in specs}
+        assert detail["queries"] == queries
+        assert 0.0 < detail["median_footprint"] <= 1.0
         for entry in report["entries"]:
-            assert entry["speedup"] > 0
-            assert entry["query_seconds"] > 0
-            assert entry["full_seconds"] > 0
-            assert 0.0 < entry["footprint"] <= 1.0
-        # ... and two speedup cells (query / batch) per (benchmark, flavor).
-        assert len(report["speedups"]) == len(specs) * len(flavors) * 2
-        assert report["geomean_speedup"] > 0
-        assert 0.0 < report["median_footprint"] <= 1.0
+            if entry["variant"] != "query":
+                continue
+            # One row per sampled variable, with its slice economics.
+            rows = entry["detail"]["queries"]
+            assert len(rows) == queries
+            assert entry["work"] == sum(row["points_to"] for row in rows)
+            for row in rows:
+                assert row["cpu_seconds"] > 0
+                assert 0.0 < row["footprint"] <= 1.0
         assert any("geomean" in m for m in messages)
 
+    def test_batch_is_billed_per_query(self, monkeypatch):
+        # One batch answers every picked variable; its cell is the
+        # per-query cost, so the speedup is full * queries / batch.
+        from repro.query import QueryEngine
+
+        spent = []
+        query_batch = QueryEngine.query_batch
+
+        def spy(self, *args, **kwargs):
+            c0 = time.process_time()
+            out = query_batch(self, *args, **kwargs)
+            spent.append(time.process_time() - c0)
+            return out
+
+        monkeypatch.setattr(QueryEngine, "query_batch", spy)
+        report = run_comparison(
+            "demand", "tiny", flavors=("2objH",), repeat=1, queries=6
+        )
+        by_variant = {e["variant"]: e for e in report["entries"]}
+        picked = len(by_variant["query"]["detail"]["queries"])
+        assert picked > 1
+        batch = by_variant["batch"]
+        (batch_cpu,) = spent
+        assert batch["cpu_seconds"] * picked == pytest.approx(batch_cpu, rel=0.25)
+        assert report["speedups"]["micro/2objH/batch"] == pytest.approx(
+            batch["baseline_cpu_seconds"] * picked / batch_cpu, rel=0.25
+        )
+
     def test_report_adapts_into_warehouse_cells(self):
-        from repro.harness.bench import run_demand_suite
         from repro.warehouse import cells_of, receipt_from_bench_report
 
-        report = run_demand_suite(
-            "tiny", flavors=("2objH",), repeat=1, queries=1
+        report = run_comparison(
+            "demand", "tiny", flavors=("2objH",), repeat=1, queries=1
         )
         receipt = receipt_from_bench_report(report)
         assert receipt["kind"] == "bench-demand"
@@ -304,10 +419,8 @@ class TestDemandSuite:
         assert all(c["unit"] == "speedup" for c in cells)
 
     def test_write_report_round_trips(self, tmp_path):
-        from repro.harness.bench import run_demand_suite
-
-        report = run_demand_suite(
-            "tiny", flavors=("2objH",), repeat=1, queries=1
+        report = run_comparison(
+            "demand", "tiny", flavors=("2objH",), repeat=1, queries=1
         )
         path = tmp_path / "BENCH_demand.json"
         write_report(report, str(path))

@@ -1,4 +1,4 @@
-"""`repro bench --incremental` smoke: schema, equality gate, speedups."""
+"""`repro bench --compare incremental` smoke: schema, equality gate, speedups."""
 
 from __future__ import annotations
 
@@ -7,39 +7,36 @@ import math
 import pytest
 
 from repro.harness.bench import (
-    INCREMENTAL_BENCH_SCHEMA,
+    BENCH_SCHEMA,
     INCREMENTAL_EDIT_KINDS,
-    run_incremental_suite,
+    run_comparison,
 )
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_incremental_suite(suite="tiny", repeat=1)
+    return run_comparison("incremental", suite="tiny", repeat=1)
 
 
 def test_schema_and_shape(report):
-    assert report["schema"] == INCREMENTAL_BENCH_SCHEMA
+    assert report["schema"] == BENCH_SCHEMA
+    assert report["comparison"] == "incremental"
     assert report["suite"] == "tiny"
-    assert report["engines"] == ["warm", "scratch"]
-    assert report["edit_kinds"] == list(INCREMENTAL_EDIT_KINDS)
+    assert (report["baseline"], report["candidate"]) == ("scratch", "warm")
     assert report["entries"], "no cells measured"
+    assert {e["variant"] for e in report["entries"]} == set(
+        INCREMENTAL_EDIT_KINDS
+    )
     for entry in report["entries"]:
         assert entry["cpu_seconds"] > 0
-        assert entry["scratch_cpu_seconds"] > 0
-        assert entry["tiers"], entry
-        assert entry["relations_checked"] == [
-            "VARPOINTSTO",
-            "FLDPOINTSTO",
-            "CALLGRAPH",
-            "REACHABLE",
-            "THROWPOINTSTO",
-        ]
+        assert entry["baseline_cpu_seconds"] > 0
+        assert entry["detail"]["tiers"], entry
 
 
 def test_speedups_cover_every_cell_and_geomean_agrees(report):
     expected = {
-        f"{e['benchmark']}/{e['flavor']}/{e['edit']}" for e in report["entries"]
+        f"{e['benchmark']}/{e['flavor']}/{e['variant']}"
+        for e in report["entries"]
     }
     assert set(report["speedups"]) == expected
     geomean = math.exp(
@@ -54,4 +51,4 @@ def test_single_edit_cells_stay_on_the_fast_tier(report):
     # absorbed monotonically — a silent fall back to "full" would inflate
     # warm timings and must be visible in the data.
     for entry in report["entries"]:
-        assert set(entry["tiers"]) == {"monotonic"}, entry
+        assert set(entry["detail"]["tiers"]) == {"monotonic"}, entry

@@ -191,7 +191,8 @@ class TestBenchSuite:
         import json
 
         report = json.loads(out_path.read_text())
-        assert report["schema"] == "repro-bench-solver/1"
+        assert report["schema"] == "repro-bench/2"
+        assert report["comparison"] == "solver"
         assert report["suite"] == "tiny"
         assert report["entries"]
 
@@ -221,6 +222,65 @@ class TestBenchSuite:
         )
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().out
+
+    def test_empty_flavor_list_is_an_error(self, tmp_path, capsys):
+        out_path = tmp_path / "x.json"
+        rc = main(
+            ["bench", "--suite", "tiny", "--repeat", "1", "--flavors", ",",
+             "--output", str(out_path)]
+        )
+        assert rc == 2
+        assert "flavors" in capsys.readouterr().out
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("comparison", ["datalog", "incremental", "demand"])
+    def test_trace_with_another_comparison_is_an_error(
+        self, comparison, tmp_path, capsys
+    ):
+        out_path = tmp_path / "x.json"
+        trace_path = tmp_path / "t.json"
+        rc = main(
+            ["bench", "--compare", comparison, "--suite", "tiny",
+             "--repeat", "1", "--output", str(out_path),
+             "--trace", str(trace_path)]
+        )
+        assert rc == 2
+        assert "no traced variant" in capsys.readouterr().out
+        assert not out_path.exists() and not trace_path.exists()
+
+    def test_unknown_comparison_is_an_error(self, tmp_path, capsys):
+        rc = main(
+            ["bench", "--compare", "quantum", "--suite", "tiny",
+             "--output", str(tmp_path / "x.json")]
+        )
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert "unknown comparison 'quantum'" in out
+        assert "solver, datalog, incremental, demand" in out
+        assert not (tmp_path / "x.json").exists()
+
+    def test_help_lists_compare_not_the_removed_booleans(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        out = capsys.readouterr().out
+        assert "--compare" in out
+        for removed in ("--datalog", "--incremental", "--demand"):
+            assert removed not in out
+
+    @pytest.mark.parametrize("comparison", ["datalog", "incremental"])
+    def test_default_output_is_named_after_the_comparison(
+        self, comparison, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["bench", "--compare", comparison, "--suite", "tiny",
+             "--repeat", "1", "--flavors", "2objH"]
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / f"BENCH_{comparison}.json").read_text())
+        assert report["comparison"] == comparison
 
 
 class TestBench:
@@ -320,16 +380,23 @@ class TestTrace:
         )
         assert rc == 0
         report = json.loads(out_path.read_text())
-        cell = report["trace"]
+        (cell,) = [e for e in report["entries"] if e["variant"] == "traced"]
         assert cell["benchmark"] == "micro"
         assert cell["flavor"] == "2objH"
-        assert cell["untraced_cpu_seconds"] > 0
-        assert cell["traced_cpu_seconds"] > 0
-        assert isinstance(cell["overhead_percent"], float)
-        assert "solver.propagate" in cell["span_names"]
-        assert cell["events"] > 0
+        # The traced twin is measured against the untraced packed solve,
+        # after the suite, and stays out of the engine geomean.
+        (packed,) = [e for e in report["entries"] if e["variant"] == "packed"]
+        assert report["entries"][-1] == cell
+        assert cell["baseline_cpu_seconds"] > 0 and cell["cpu_seconds"] > 0
+        assert cell["work"] == packed["work"]
+        assert report["geomean_speedup"] == report["speedups"]["micro/2objH/packed"]
+        detail = cell["detail"]
+        assert isinstance(detail["overhead_percent"], float)
+        assert "solver.propagate" in detail["span_names"]
+        assert detail["events"] > 0
+        assert "micro/2objH/traced" in report["speedups"]
         trace = json.loads(trace_path.read_text())
-        assert trace["traceEvents"]
+        assert len(trace["traceEvents"]) == detail["events"]
 
     def test_bench_suite_without_trace_keeps_schema(self, tmp_path, capsys):
         import json
@@ -340,7 +407,9 @@ class TestTrace:
              "--flavors", "2objH", "--output", str(out_path)]
         )
         assert rc == 0
-        assert "trace" not in json.loads(out_path.read_text())
+        report = json.loads(out_path.read_text())
+        assert {e["variant"] for e in report["entries"]} == {"packed"}
+        assert "detail" not in report
 
 
 class TestQuery:
@@ -424,18 +493,19 @@ class TestBenchDemand:
 
         out_path = tmp_path / "BENCH_demand.json"
         rc = main(
-            ["bench", "--demand", "--suite", "tiny", "--repeat", "1",
+            ["bench", "--compare", "demand", "--suite", "tiny", "--repeat", "1",
              "--queries", "2", "--flavors", "2objH",
              "--output", str(out_path)]
         )
         assert rc == 0
         report = json.loads(out_path.read_text())
-        assert report["schema"] == "repro-bench-demand/1"
+        assert report["schema"] == "repro-bench/2"
+        assert report["comparison"] == "demand"
         assert report["suite"] == "tiny"
-        assert report["queries"] == 2
+        assert report["detail"]["queries"] == 2
         assert report["entries"]
         assert report["geomean_speedup"] > 0
-        assert 0.0 < report["median_footprint"] <= 1.0
+        assert 0.0 < report["detail"]["median_footprint"] <= 1.0
         for key in report["speedups"]:
             assert key.rsplit("/", 1)[1] in ("query", "batch")
 
@@ -446,7 +516,7 @@ class TestBenchDemand:
 
         out_path = tmp_path / "d.json"
         rc = main(
-            ["bench", "--demand", "--suite", "tiny", "--repeat", "1",
+            ["bench", "--compare", "demand", "--suite", "tiny", "--repeat", "1",
              "--queries", "1", "--output", str(out_path)]
         )
         assert rc == 0

@@ -1,9 +1,9 @@
-"""Schema adapters over the three committed ``BENCH_*.json`` artifacts.
+"""Adapters over the committed ``BENCH_*.json`` reports and receipts.
 
 These are the repository's real historical evidence, so the assertions
 here are pins, not smoke: exact binned cell counts per artifact, and
-geomeans that must agree with the ``geomean_speedup*`` tables the
-reports themselves carry (the warehouse recomputes them from raw cells —
+geomeans that must agree with the ``geomean_speedup`` the reports
+themselves carry (the warehouse recomputes them from raw cells —
 agreement is the proof the binning is faithful).
 """
 
@@ -25,7 +25,6 @@ from repro.warehouse import (
     receipt_from_bench_report,
     score,
 )
-from repro.warehouse.adapters import BENCH_SCHEMA_KINDS
 
 REPO = Path(__file__).resolve().parents[2]
 BENCH_PATHS = [
@@ -34,13 +33,15 @@ BENCH_PATHS = [
         "BENCH_solver.json",
         "BENCH_datalog.json",
         "BENCH_incremental.json",
+        "BENCH_demand.json",
     )
 ]
 
 #: Pinned shape of each committed artifact once binned into cells:
 #: (file, kind, cell count, {geomean group: value}).  The geomean values
 #: are the ones the artifacts themselves record — 3 benchmarks x 3
-#: flavors per suite, x 4 edit kinds (incremental).
+#: flavors per suite, x 4 edit kinds (incremental), x 2 query modes
+#: (demand).
 COMMITTED = [
     (
         "BENCH_solver.json",
@@ -65,6 +66,15 @@ COMMITTED = [
             "bench-incremental/medium/new-entry": 16.445,
         },
     ),
+    (
+        "BENCH_demand.json",
+        "bench-demand",
+        18,
+        {
+            "bench-demand/medium/query": 13.313,
+            "bench-demand/medium/batch": 51.123,
+        },
+    ),
 ]
 
 
@@ -79,13 +89,12 @@ class TestAdaptCommittedArtifacts:
     ):
         report = json.loads((REPO / name).read_text())
         receipt = adapt(report)
-        assert receipt["kind"] == kind
-        assert BENCH_SCHEMA_KINDS[report["schema"]] == kind
+        assert receipt["kind"] == kind == f"bench-{report['comparison']}"
         # Provenance is the report's own host block, not this host's.
         for key in ("python", "platform", "cpu_count", "gc_enabled"):
             assert receipt["provenance"][key] == report[key]
         assert receipt["provenance"]["git_rev"] is None
-        assert receipt["created_at"] is None  # legacy: sorts before any run
+        assert receipt["created_at"] is None  # adapted: sorts before any run
         assert receipt["payload"] is report  # verbatim, not a copy
         assert receipt["identity"]["suite"] == report["suite"]
 
@@ -118,8 +127,47 @@ class TestAdaptCommittedArtifacts:
             adapt({"schema": "repro-bench-quantum/9"})
 
 
+#: What ``repro report`` prints for the CI gate's committed inputs (the
+#: four reports plus ``benchmarks/receipts``): 85 cells and 11 geomeans.
+#: ``GATE_TABLE_SHA256`` hashes the sorted ``"<cell> <value:.3f>"`` rows,
+#: so a re-conversion or re-binning that moves any recorded number fails.
+GATE_CELLS = 85
+GATE_TABLE_SHA256 = (
+    "665194dbd91db0f43cf5bc747971c4f045901e12bbf239e09bf8a0952a5726a3"
+)
+GATE_GEOMEANS = {
+    "bench-datalog/medium/compiled": 20.424,
+    "bench-datalog/small/compiled": 9.291,
+    "bench-demand/medium/batch": 51.123,
+    "bench-demand/medium/query": 13.313,
+    "bench-incremental/medium/alloc": 17.102,
+    "bench-incremental/medium/move": 16.995,
+    "bench-incremental/medium/new-call": 16.5,
+    "bench-incremental/medium/new-entry": 16.445,
+    "bench-solver/medium/packed": 3.922,
+    "bench-solver/small/packed": 1.581,
+    "bench-solver/small/traced": 1.049,
+}
+
+
 class TestIngestAll:
-    def test_whole_committed_set_scores_to_54_single_sample_cells(self):
+    def test_ci_gate_inputs_score_to_the_pinned_table(self):
+        import hashlib
+
+        receipts, skipped = ingest(
+            BENCH_PATHS + [str(REPO / "benchmarks" / "receipts")]
+        )
+        assert skipped == []
+        cells = score(receipts)
+        assert len(cells) == GATE_CELLS
+        rows = "\n".join(
+            sorted(f"{c.name} {c.current.value:.3f}" for c in cells)
+        )
+        assert hashlib.sha256(rows.encode()).hexdigest() == GATE_TABLE_SHA256
+        assert geomeans(cells) == GATE_GEOMEANS
+        assert gate_failures(cells, 60.0) == []
+
+    def test_whole_committed_set_scores_to_72_single_sample_cells(self):
         receipts, skipped = ingest(BENCH_PATHS)
         assert skipped == []
         assert [r["kind"] for _, r in receipts] == [row[1] for row in COMMITTED]

@@ -21,13 +21,15 @@ CELL = f"bench-solver:small:minihub/{FLAVOR}/packed"
 
 
 def _report(speedup: float) -> dict:
-    """Minimal ``repro-bench-solver/1`` report with one speedup cell."""
+    """Minimal ``repro-bench/2`` solver report with one speedup cell."""
     return {
-        "schema": "repro-bench-solver/1",
+        "schema": "repro-bench/2",
+        "comparison": "solver",
         "suite": "small",
         "flavors": [FLAVOR],
-        "engines": ["reference", "packed"],
-        "speedups": {f"minihub/{FLAVOR}": speedup},
+        "baseline": "reference",
+        "candidate": "packed",
+        "speedups": {f"minihub/{FLAVOR}/packed": speedup},
         "python": "3.11.0",
         "platform": "linux",
         "cpu_count": 4,
