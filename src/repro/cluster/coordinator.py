@@ -10,9 +10,9 @@ changing its behavior when no workers ever join:
   the 202 is sent; on restart the journal is replayed and every
   accepted-but-unfinished job re-enters the queue with its original id.
 * **Worker registry + leases** — workers register, heartbeat, and pull
-  jobs.  A granted lease ties a running job to one worker; a worker that
-  misses its heartbeat window has its leases expired and the jobs
-  requeued, up to ``max_retries`` requeues before dead-lettering.
+  jobs through the service's lease table (``claim`` / ``complete``); a
+  worker that misses its heartbeat window has its leases expired and the
+  jobs requeued, up to ``max_retries`` requeues before dead-lettering.
 * **Cache sharding** — the result cache is sharded across the
   coordinator and all live workers by consistent hashing on
   ``FactBase.digest()`` (see :mod:`repro.cluster.shard`).
@@ -21,9 +21,9 @@ changing its behavior when no workers ever join:
   turns into ``429`` + ``Retry-After``.
 
 The local dispatcher keeps running: with zero live workers the
-coordinator executes jobs exactly as the plain service does (the
-single-process fallback); once a worker is live, the local dispatcher
-defers and the pull path takes over.
+coordinator claims and runs jobs itself under its node id
+:data:`~repro.service.jobs.NODE_ID`; while any worker is live it claims
+nothing and the pull path takes over.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from ..service.jobs import Job, JobSpec, JobState
+from ..service.jobs import NODE_ID, Job, JobSpec, JobState, Lease
 from .journal import JobJournal
 from .ratelimit import TokenBucketLimiter
 from .shard import ShardedResultCache
@@ -59,7 +59,6 @@ class ClusterConfig:
     """Coordinator tuning; ``journal`` is the only required field."""
 
     journal: str
-    node_id: str = "coordinator"
     #: A worker silent for longer than this is declared dead: its leases
     #: expire and its jobs requeue.  Lease requests and completions count
     #: as liveness, not just explicit heartbeats.
@@ -100,24 +99,12 @@ class WorkerInfo:
         }
 
 
-@dataclass
-class Lease:
-    """A running job granted to one worker."""
-
-    job: Job
-    worker_id: str
-    key: str  # result-cache content key
-    digest: str  # facts digest (the shard routing key)
-    granted_mono: float = field(default_factory=time.monotonic)
-
-
 class ClusterCoordinator:
     """Cluster brain bolted onto one :class:`AnalysisService`."""
 
     def __init__(self, service: "AnalysisService", config: ClusterConfig) -> None:
         self.service = service
         self.config = config
-        self.node_id = config.node_id
         t = service.telemetry
         self._m_workers = t.gauge(
             "repro_cluster_workers", "Live registered worker nodes."
@@ -162,7 +149,7 @@ class ClusterCoordinator:
         )
 
         self.shard = ShardedResultCache(
-            service.cache, node_id=self.node_id, ops=self._m_shard_ops
+            service.cache, node_id=NODE_ID, ops=self._m_shard_ops
         )
         self.limiter: Optional[TokenBucketLimiter] = None
         if config.rate_limit is not None:
@@ -172,7 +159,6 @@ class ClusterCoordinator:
 
         self._lock = threading.RLock()
         self._workers: Dict[str, WorkerInfo] = {}
-        self._leases: Dict[str, Lease] = {}
         self._attempts: Dict[str, int] = {}
         self.dead_letters: List[str] = []
         self._stop = threading.Event()
@@ -254,7 +240,7 @@ class ClusterCoordinator:
         self.shard.add_peer(worker.id, url)
         return {
             "id": worker.id,
-            "node_id": self.node_id,
+            "node_id": NODE_ID,
             "heartbeat_seconds": self.config.heartbeat_timeout / 3.0,
             "heartbeat_timeout": self.config.heartbeat_timeout,
         }
@@ -289,8 +275,19 @@ class ClusterCoordinator:
         return bool(self.live_workers())
 
     def lease_count(self) -> int:
+        """Jobs leased to remote workers (not the coordinator's own)."""
+        leases = self.service.leases().values()
+        return sum(1 for lease in leases if lease.worker_id != NODE_ID)
+
+    def provenance(self, worker_id: str) -> Dict[str, Any]:
+        """The ``worker`` stamp of a job run by ``worker_id``."""
+        if worker_id == NODE_ID:
+            return {"id": NODE_ID, "url": None, "name": "local"}
         with self._lock:
-            return len(self._leases)
+            worker = self._workers.get(worker_id)
+        if worker is None:  # pragma: no cover - completed right after detach
+            return {"id": worker_id, "url": None, "name": None}
+        return {"id": worker_id, "url": worker.url, "name": worker.name}
 
     # ------------------------------------------------------------------
     # Leases
@@ -298,58 +295,24 @@ class ClusterCoordinator:
     def lease(self, worker_id: str) -> Optional[Dict[str, Any]]:
         """Grant the next runnable job to ``worker_id`` (None = empty).
 
-        Cache hits are answered inline (the worker never sees them) and
-        the pop continues to the next queued job.  A lease request
-        counts as a heartbeat — a pulling worker is a live worker.
+        Cache hits are answered by the claim (the worker never sees
+        them) and the pop continues to the next queued job.  A lease
+        request counts as a heartbeat — a pulling worker is a live worker.
         """
         if not self.heartbeat(worker_id):
             raise KeyError(worker_id)
         while True:
-            job = self.service.queue.pop(timeout=0)
-            self.service._m_depth.set(self.service.queue.depth())
+            job = self.service.pop(timeout=0)
             if job is None:
                 return None
-            if job.cancel_requested:
-                continue  # already finalized by cancel()
-            job.mark_started()
-            try:
-                from ..facts.encoder import encode_program
-                from ..service.cache import cache_key
-                from ..service.workers import _build_program
-
-                program = _build_program(job.spec, None)
-                digest = encode_program(program).digest()
-            except Exception as exc:  # noqa: BLE001 - bad source/benchmark
-                self.service._finalize(
-                    job,
-                    {
-                        "state": JobState.ERROR,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                    store_key=None,
-                    release_slot=False,
-                )
+            lease = self.service.claim(job, worker_id)
+            if lease is None:
                 continue
-            key = cache_key(digest, job.spec)
-            cached = self.shard.get(key, digest)
-            if cached is not None:
-                cached = dict(cached)
-                cached["cached"] = True
-                self.service._finalize(
-                    job, cached, store_key=None, release_slot=False
-                )
-                continue
-            job.state = JobState.RUNNING
-            self.service._m_running.inc()
-            with self._lock:
-                self._leases[job.id] = Lease(
-                    job=job, worker_id=worker_id, key=key, digest=digest
-                )
-                self._m_leases.set(len(self._leases))
+            self._m_leases.set(self.lease_count())
             return {
                 "job_id": job.id,
                 "spec": job.spec.to_payload(),
-                "facts_digest": digest,
+                "facts_digest": lease.digest,
             }
 
     def complete(
@@ -363,40 +326,26 @@ class ClusterCoordinator:
         warehouse receipt — exactly once.
         """
         self.heartbeat(worker_id)
-        with self._lock:
-            lease = self._leases.get(job_id)
-            if lease is None or lease.worker_id != worker_id:
-                self._m_completions.inc(outcome="stale")
-                return False
-            del self._leases[job_id]
-            self._m_leases.set(len(self._leases))
-            worker = self._workers.get(worker_id)
-            if worker is not None:
-                worker.jobs_completed += 1
-                provenance = {"id": worker_id, "url": worker.url,
-                              "name": worker.name}
-            else:  # pragma: no cover - completed right after detach
-                provenance = {"id": worker_id, "url": None, "name": None}
         if not isinstance(payload, dict) or "state" not in payload:
             payload = {
                 "state": JobState.ERROR,
                 "error": "worker returned a malformed result payload",
             }
-        payload = dict(payload)
-        payload.setdefault("worker", provenance)
-        state = payload.get("state")
-        if state in (JobState.DONE, JobState.TIMEOUT):
-            self.shard.put(lease.key, lease.digest, payload)
+        lease = self.service.leases().get(job_id)
+        if (
+            lease is None
+            or lease.worker_id != worker_id
+            or not self.service.complete(lease, payload)
+        ):
+            self._m_completions.inc(outcome="stale")
+            return False
+        self._m_leases.set(self.lease_count())
+        with self._lock:
+            worker = self._workers.get(worker_id)
+            if worker is not None:
+                worker.jobs_completed += 1
         self._m_completions.inc(outcome="accepted")
-        self.service._m_running.dec()
-        self.service._finalize(
-            lease.job, payload, store_key=None, release_slot=False
-        )
         return True
-
-    def local_worker_provenance(self) -> Dict[str, Any]:
-        """Provenance stamp for jobs the coordinator executed itself."""
-        return {"id": self.node_id, "url": None, "name": "local"}
 
     # ------------------------------------------------------------------
     # Liveness reaper
@@ -406,22 +355,16 @@ class ClusterCoordinator:
         self._workers.pop(worker_id, None)
         self._m_workers.set(len(self._workers))
         self.shard.remove_peer(worker_id)
-        doomed = [
-            lease
-            for lease in self._leases.values()
-            if lease.worker_id == worker_id
-        ]
-        for lease in doomed:
-            del self._leases[lease.job.id]
-            self._requeue(lease, reason=reason)
-        self._m_leases.set(len(self._leases))
+        for lease in self.service.leases().values():
+            if lease.worker_id == worker_id and self.service.revoke(lease):
+                self._requeue(lease, reason=reason)
+        self._m_leases.set(self.lease_count())
 
     def _requeue(self, lease: Lease, reason: str) -> None:
         """Retry or dead-letter one expired lease (caller holds the lock)."""
         job = lease.job
         attempts = self._attempts.get(job.id, 0) + 1
         self._attempts[job.id] = attempts
-        self.service._m_running.dec()
         if attempts > self.config.max_retries:
             self.dead_letters.append(job.id)
             self._m_dead_letters.inc()
@@ -435,17 +378,13 @@ class ClusterCoordinator:
                     ),
                     "dead_lettered": True,
                 },
-                store_key=None,
-                release_slot=False,
             )
             return
         self._m_requeues.inc()
         self._journal(
             "requeue", id=job.id, attempts=attempts, worker=lease.worker_id
         )
-        job.state = JobState.QUEUED
-        self.service.queue.put(job)
-        self.service._m_depth.set(self.service.queue.depth())
+        self.service.requeue(job)
 
     def reap(self) -> List[str]:
         """One liveness sweep; returns the ids of workers expired."""
@@ -488,22 +427,22 @@ class ClusterCoordinator:
         """The ``GET /cluster`` snapshot."""
         now = time.monotonic()
         timeout = self.config.heartbeat_timeout
+        leases = [
+            {
+                "job_id": lease.job.id,
+                "worker": lease.worker_id,
+                "facts_digest": lease.digest,
+                "held_seconds": round(now - lease.granted_mono, 3),
+            }
+            for lease in self.service.leases().values()
+        ]
         with self._lock:
             workers = [
                 w.snapshot(now, timeout) for w in self._workers.values()
             ]
-            leases = [
-                {
-                    "job_id": lease.job.id,
-                    "worker": lease.worker_id,
-                    "facts_digest": lease.digest,
-                    "held_seconds": round(now - lease.granted_mono, 3),
-                }
-                for lease in self._leases.values()
-            ]
             dead = list(self.dead_letters)
         return {
-            "node_id": self.node_id,
+            "node_id": NODE_ID,
             "workers": workers,
             "leases": leases,
             "dead_letters": dead,

@@ -16,7 +16,8 @@ A worker is stateless from the cluster's point of view: SIGKILL one and
 the coordinator's reaper requeues its leased jobs after the heartbeat
 window.  If the *coordinator* restarts, heartbeats start failing with
 404 (the registry is in memory) and the worker transparently
-re-registers under a fresh id.
+re-registers under a fresh id.  Reports that do not reach the
+coordinator are counted in :meth:`WorkerNode.health`.
 """
 
 from __future__ import annotations
@@ -144,6 +145,8 @@ class WorkerNode:
         self.worker_id: Optional[str] = None
         self.heartbeat_seconds = 3.0
         self.jobs_executed = 0
+        self.failed_completions = 0
+        self.failed_detaches = 0
         self.started_at = time.time()
         self._stop = threading.Event()
         self._threads: list = []
@@ -160,6 +163,8 @@ class WorkerNode:
             "worker_id": self.worker_id,
             "coordinator": self.coordinator_url,
             "jobs_executed": self.jobs_executed,
+            "failed_completions": self.failed_completions,
+            "failed_detaches": self.failed_detaches,
             "cache_entries": len(self.cache),
             "uptime_seconds": round(time.time() - self.started_at, 3),
         }
@@ -237,7 +242,7 @@ class WorkerNode:
             payload = execute_job(leased["spec"])
             self.jobs_executed += 1
             try:
-                _http_json(
+                status, _ = _http_json(
                     f"{self.coordinator_url}/cluster/complete",
                     {
                         "worker": worker_id,
@@ -246,9 +251,9 @@ class WorkerNode:
                     },
                 )
             except (urllib.error.URLError, OSError):
-                # The coordinator is gone mid-report; it will requeue
-                # this job from its journal/lease state.  Nothing to do.
-                pass
+                status = 0  # the coordinator is gone mid-report
+            if status != 200:
+                self.failed_completions += 1
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -274,14 +279,16 @@ class WorkerNode:
         self._stop.set()
         if detach and self.worker_id is not None:
             try:
-                _http_json(
+                status, _ = _http_json(
                     f"{self.coordinator_url}/cluster/workers/"
                     f"{self.worker_id}",
                     method="DELETE",
                     timeout=3.0,
                 )
             except (urllib.error.URLError, OSError):
-                pass
+                status = 0
+            if status != 200:
+                self.failed_detaches += 1
         self._server.shutdown()
         self._server.server_close()
         for thread in self._threads:

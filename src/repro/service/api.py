@@ -4,10 +4,14 @@
 :class:`~repro.service.jobs.JobQueue`, a
 :class:`~repro.service.workers.WorkerPool`, a content-addressed
 :class:`~repro.service.cache.ResultCache`, and a telemetry
-:class:`~repro.service.telemetry.Registry`.  A single dispatcher thread
-pops jobs as worker slots free up, computes the content key (building the
-program and encoding its facts — cheap relative to a solve), answers from
-the cache when possible, and otherwise ships the job to the pool.
+:class:`~repro.service.telemetry.Registry`.
+
+Every running job is a :class:`~repro.service.jobs.Lease` in one table.
+``claim`` computes a popped job's content key (build + encode + digest,
+cheap relative to a solve) and answers cache hits and build errors on the
+spot; ``complete`` fills the cache and finalizes the job.  The dispatcher
+thread holds leases for the in-process pool; in coordinator mode remote
+workers hold them through ``/cluster/lease`` and ``/cluster/complete``.
 
 The HTTP layer is a stdlib :class:`~http.server.ThreadingHTTPServer`
 speaking JSON, mirroring the submit/poll shape of builder-style services:
@@ -19,7 +23,8 @@ speaking JSON, mirroring the submit/poll shape of builder-style services:
 ``GET /jobs/{id}``           200     one job's status snapshot
 ``GET /jobs/{id}/result``    200     terminal result payload (409 while
                                      queued/running)
-``DELETE /jobs/{id}``        200     cancel a queued job (409 otherwise)
+``DELETE /jobs/{id}``        200     cancel a queued job (409 once it
+                                     has been popped)
 ``POST /sessions``           201     open a warm edit session (pays the
                                      initial solve; 409 at capacity)
 ``GET /sessions``            200     list session snapshots
@@ -50,15 +55,16 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import Future
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterator, Optional, TYPE_CHECKING, Tuple
 
 from .cache import ResultCache, cache_key
-from .jobs import Job, JobQueue, JobSpec, JobState
+from .jobs import NODE_ID, Job, JobQueue, JobSpec, JobState, Lease
 from .sessions import SessionError, SessionStore
 from .telemetry import Registry
-from .workers import WorkerPool
+from .workers import WorkerPool, encode_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.coordinator import ClusterConfig
@@ -147,9 +153,13 @@ class AnalysisService:
             "repro_service_receipt_write_failures_total",
             "Job receipts that could not be written to --receipt-dir.",
         )
+        self._m_pool_restarts = t.counter(
+            "repro_service_pool_restarts_total",
+            "Worker-process pools replaced after a worker process died.",
+        )
 
         self.queue = JobQueue()
-        self.pool = WorkerPool(workers)
+        self.pool = WorkerPool(workers, restarts=self._m_pool_restarts)
         self.cache = ResultCache(
             capacity=cache_capacity,
             cache_dir=cache_dir,
@@ -167,6 +177,9 @@ class AnalysisService:
         )
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
+        # The lease table: every running job, by job id, whoever runs it.
+        self._leases: Dict[str, Lease] = {}
+        self._leases_lock = threading.Lock()
         # Warm demand-query engines, LRU by facts digest (each one holds
         # an insensitive pass + memo tables; see repro.query).
         self._engines: "OrderedDict[str, Any]" = OrderedDict()
@@ -216,17 +229,15 @@ class AnalysisService:
 
     def cancel(self, job_id: str) -> bool:
         job = self.job(job_id)
-        if job is None:
+        if job is None or not self.queue.cancel(job):
             return False
-        if self.queue.cancel(job):
-            self._m_jobs.inc(state=JobState.CANCELLED)
-            self._m_depth.set(self.queue.depth())
-            if self.cluster is not None:
-                # Keep the journal truthful: a cancelled job must not be
-                # resurrected by a replay after a coordinator restart.
-                self.cluster.record_terminal(job.id, JobState.CANCELLED)
-            return True
-        return False
+        self._m_jobs.inc(state=JobState.CANCELLED)
+        self._m_depth.set(self.queue.depth())
+        if self.cluster is not None:
+            # Keep the journal truthful: a cancelled job must not be
+            # resurrected by a replay after a coordinator restart.
+            self.cluster.record_terminal(job.id, JobState.CANCELLED)
+        return True
 
     def start(self) -> None:
         if self._dispatcher is not None:
@@ -249,106 +260,127 @@ class AnalysisService:
         self.pool.shutdown(wait=wait)
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Leases: pop -> claim -> (run) -> complete, for every worker
     # ------------------------------------------------------------------
+    def pop(self, timeout: Optional[float]) -> Optional[Job]:
+        """The next queued job, now ``running`` (None on timeout)."""
+        job = self.queue.pop(timeout)
+        self._m_depth.set(self.queue.depth())
+        return job
+
+    def requeue(self, job: Job) -> None:
+        """Put a popped job back in the queue."""
+        self.queue.put(job)
+        self._m_depth.set(self.queue.depth())
+
+    def leases(self) -> Dict[str, Lease]:
+        """A snapshot of the lease table, by job id."""
+        with self._leases_lock:
+            return dict(self._leases)
+
+    def claim(self, job: Job, worker_id: str) -> Optional[Lease]:
+        """Lease a popped job to ``worker_id``, or answer it on the spot.
+
+        The content key costs one build -> encode -> digest.  A cache hit
+        and a spec that does not build are finalized here (None is
+        returned); any other job is recorded as ``worker_id``'s lease.
+        """
+        try:
+            _program, _facts, digest = encode_spec(job.spec)
+            key = cache_key(digest, job.spec)
+            if self.cluster is not None:
+                cached = self.cluster.shard.get(key, digest)
+            else:
+                cached = self.cache.get(key)
+        except Exception as exc:  # noqa: BLE001 - bad source/benchmark
+            error = f"{type(exc).__name__}: {exc}"
+            self._finalize(job, {"state": JobState.ERROR, "error": error})
+            return None
+        if cached is not None:
+            self._finalize(job, dict(cached, cached=True))
+            return None
+        lease = Lease(job=job, worker_id=worker_id, key=key, digest=digest)
+        with self._leases_lock:
+            self._leases[job.id] = lease
+            self._m_running.set(len(self._leases))
+        return lease
+
+    def revoke(self, lease: Lease) -> bool:
+        """Drop a lease; False if it was no longer held."""
+        with self._leases_lock:
+            if self._leases.get(lease.job.id) is not lease:
+                return False
+            del self._leases[lease.job.id]
+            self._m_running.set(len(self._leases))
+        return True
+
+    def complete(self, lease: Lease, payload: Dict[str, Any]) -> bool:
+        """Finish a leased job with its result payload.
+
+        False, with no effect, for a lease that is no longer held (it
+        expired and was requeued, perhaps finished elsewhere): every job
+        finalizes — and emits its receipt — exactly once.
+        """
+        if not self.revoke(lease):
+            return False
+        self._finalize(lease.job, dict(payload), lease)
+        return True
+
     def _dispatch_loop(self) -> None:
+        """The in-process lease holder: pop -> claim -> wait for a pool
+        slot (misses only) -> run -> complete.
+
+        It claims only while no remote worker is live.  A claimed miss
+        waits for the next free slot, so one job can be held claimed but
+        not yet solving, and the jobs queued behind it wait with it.
+        """
+        defer = self.cluster.defer_local if self.cluster else (lambda: False)
         while not self._stop.is_set():
-            if self.cluster is not None and self.cluster.defer_local():
-                # Live workers exist: they pull jobs over /cluster/lease
-                # and the single-process fallback path stands down.
+            if defer():
                 time.sleep(0.05)
                 continue
-            if not self._slots.acquire(timeout=0.1):
-                continue
-            job = self.queue.pop(timeout=0.1)
-            self._m_depth.set(self.queue.depth())
+            job = self.pop(timeout=0.1)
             if job is None:
-                self._slots.release()
                 continue
-            if self.cluster is not None and self.cluster.defer_local():
+            if defer():
                 # A worker registered while we were blocked in pop():
-                # hand the job back for the pull path instead of racing
-                # the fleet for it.
-                self.queue.put(job)
-                self._m_depth.set(self.queue.depth())
-                self._slots.release()
+                # hand the job back to the pull path.
+                self.requeue(job)
                 continue
-            try:
-                self._process(job)
-            except Exception as exc:  # noqa: BLE001 - keep the loop alive
-                self._finalize(
-                    job,
-                    {
-                        "state": JobState.ERROR,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                    store_key=None,
-                )
+            lease = self.claim(job, NODE_ID)
+            if lease is None:
+                continue
+            while not self._slots.acquire(timeout=0.1):
+                if self._stop.is_set():
+                    if self.revoke(lease):
+                        self.requeue(job)
+                    return
+            future = self.pool.submit(job.spec.to_payload())
+            future.add_done_callback(partial(self._complete_local, lease))
 
-    def _process(self, job: Job) -> None:
-        if job.cancel_requested:
-            self._finalize(job, {"state": JobState.CANCELLED}, store_key=None)
-            return
-        job.mark_started()
-        spec_payload = job.spec.to_payload()
-        try:
-            # Build + encode here (milliseconds) to learn the content key;
-            # the solve (the expensive part) only happens on a cache miss.
-            from .workers import _build_program  # local import: same logic
-            from ..facts.encoder import encode_program
-
-            program = _build_program(job.spec, None)
-            digest = encode_program(program).digest()
-        except Exception as exc:  # noqa: BLE001 - bad source/benchmark
-            self._finalize(
-                job,
-                {
-                    "state": JobState.ERROR,
-                    "error": f"{type(exc).__name__}: {exc}",
-                },
-                store_key=None,
-            )
-            return
-        key = cache_key(digest, job.spec)
-        if self.cluster is not None:
-            cached = self.cluster.shard.get(key, digest)
-        else:
-            cached = self.cache.get(key)
-        if cached is not None:
-            cached = dict(cached)
-            cached["cached"] = True
-            self._finalize(job, cached, store_key=None)
-            return
-        job.state = JobState.RUNNING
-        self._m_running.inc()
-        future = self.pool.submit(spec_payload)
-        future.add_done_callback(
-            lambda f, j=job, k=key: self._on_done(j, k, f)
-        )
-
-    def _on_done(self, job: Job, key: str, future: "Future[Dict[str, Any]]") -> None:
+    def _complete_local(
+        self, lease: Lease, future: "Future[Dict[str, Any]]"
+    ) -> None:
         try:
             payload = future.result()
-        except CancelledError:
-            payload = {"state": JobState.CANCELLED}
         except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
             payload = {
                 "state": JobState.ERROR,
                 "error": f"{type(exc).__name__}: {exc}",
             }
-        self._m_running.dec()
-        self._finalize(job, payload, store_key=key)
+        try:
+            self.complete(lease, payload)
+        finally:
+            self._slots.release()
 
     def _finalize(
         self,
         job: Job,
         payload: Dict[str, Any],
-        store_key: Optional[str],
-        release_slot: bool = True,
+        lease: Optional[Lease] = None,
     ) -> None:
-        """Drive a job to its terminal state (idempotence guarded by the
-        cluster lease layer; ``release_slot=False`` for jobs that never
-        occupied a local worker slot — leases, cluster requeues)."""
+        """Drive a job to its terminal state; a completed ``lease`` also
+        fills the result cache."""
         state = payload.get("state", JobState.ERROR)
         job.result = payload
         job.error = payload.get("error")
@@ -372,22 +404,21 @@ class AnalysisService:
                 self._m_stage.observe(stage_seconds, stage=stage_name)
         if payload.get("pass1_reused"):
             self._m_pass1.inc()
-        if store_key is not None and state in (JobState.DONE, JobState.TIMEOUT):
-            digest = payload.get("facts_digest")
-            if self.cluster is not None and digest:
-                self.cluster.shard.put(store_key, digest, payload)
-            else:
-                self.cache.put(store_key, payload)
         if (
             self.cluster is not None
             and not job.cached
-            and "worker" not in payload
-            and state in (JobState.DONE, JobState.TIMEOUT, JobState.ERROR)
+            and state != JobState.CANCELLED
         ):
-            # Locally executed under cluster mode: stamp the coordinator
-            # itself as the executing worker, so every receipt carries
-            # the provenance of the node that did the work.
-            payload["worker"] = self.cluster.local_worker_provenance()
+            # Every receipt (and cache entry) carries the provenance of
+            # the node that did the work: the lease holder, or the
+            # coordinator itself for what it answered on the spot.
+            worker_id = lease.worker_id if lease is not None else NODE_ID
+            payload.setdefault("worker", self.cluster.provenance(worker_id))
+        if lease is not None and state in (JobState.DONE, JobState.TIMEOUT):
+            if self.cluster is not None:
+                self.cluster.shard.put(lease.key, lease.digest, payload)
+            else:
+                self.cache.put(lease.key, payload)
         if (
             self.receipt_dir is not None
             and state == JobState.DONE
@@ -417,8 +448,6 @@ class AnalysisService:
             # terminal state a poller could already have observed.
             self.cluster.record_terminal(job.id, state)
         job.state = state
-        if release_slot:
-            self._slots.release()
 
     # ------------------------------------------------------------------
     # Demand queries (POST /queries — synchronous, like sessions)
@@ -481,14 +510,9 @@ class AnalysisService:
         if (benchmark is None) == (source is None):
             raise ValueError("exactly one of benchmark or source is required")
 
-        from ..facts.encoder import encode_program
-        from .jobs import JobSpec
-        from .workers import _build_program
-
-        spec = JobSpec(benchmark=benchmark, source=source)
-        program = _build_program(spec, None)
-        facts = encode_program(program)
-        digest = facts.digest()
+        program, facts, digest = encode_spec(
+            JobSpec(benchmark=benchmark, source=source)
+        )
         key = hashlib.sha256(
             json.dumps(
                 {
@@ -546,7 +570,7 @@ class AnalysisService:
         }
         if self.cluster is not None:
             health["cluster"] = {
-                "node_id": self.cluster.node_id,
+                "node_id": NODE_ID,
                 "live_workers": len(self.cluster.live_workers()),
                 "leases": self.cluster.lease_count(),
             }
@@ -623,6 +647,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- methods -------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        if self.path.startswith("/cluster"):
+            self._cluster("POST")
+            return
         if self.path == "/jobs":
             try:
                 spec = JobSpec.from_payload(self._read_json())
@@ -694,20 +721,43 @@ class _Handler(BaseHTTPRequestHandler):
             self.service._m_session_edits.inc(tier=payload["tier"])
             self._send_json(200, payload)
             return
-        if self.path.startswith("/cluster") and self._cluster_post():
-            return
         self._send_json(404, {"error": f"no such route: POST {self.path}"})
 
     # -- cluster routes (docs/cluster.md) ------------------------------
-    def _cluster_post(self) -> bool:
-        """Handle POST /cluster/*; False if the path matched nothing."""
+    def _cluster(self, method: str) -> None:
+        """Answer every ``/cluster*`` route (404 on a plain service)."""
         cluster = self.service.cluster
         if cluster is None:
             self._send_json(
                 404, {"error": "not a cluster coordinator (no --journal)"}
             )
-            return True
-        if self.path == "/cluster/workers":
+            return
+        if method == "GET" and self.path == "/cluster":
+            self._send_json(200, cluster.topology())
+            return
+        m = _CLUSTER_CACHE_PATH.match(self.path)
+        if m and method in ("GET", "PUT"):
+            # This node's shard of the cluster cache.
+            from ..cluster.shard import serve_cache_route
+
+            try:
+                status, payload = serve_cache_route(
+                    self.service.cache, method, m.group(1), self._read_json
+                )
+            except ValueError as exc:
+                status, payload = 400, {"error": str(exc)}
+            self._send_json(status, payload)
+            return
+        m = _CLUSTER_WORKER_PATH.match(self.path)
+        if m and method == "DELETE":
+            if cluster.detach_worker(m.group(1)):
+                self._send_json(200, {"id": m.group(1), "detached": True})
+            else:
+                self._send_json(
+                    404, {"error": f"unknown worker {m.group(1)}"}
+                )
+            return
+        if method == "POST" and self.path == "/cluster/workers":
             try:
                 payload = self._read_json()
                 url = payload["url"]
@@ -715,38 +765,38 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ValueError("'url' must be an http(s) URL")
             except (ValueError, KeyError, TypeError) as exc:
                 self._send_json(400, {"error": f"bad registration: {exc}"})
-                return True
+                return
             granted = cluster.register_worker(url, name=payload.get("name"))
             self._send_json(201, granted)
-            return True
+            return
         m = _CLUSTER_HEARTBEAT_PATH.match(self.path)
-        if m:
+        if m and method == "POST":
             if cluster.heartbeat(m.group(1)):
                 self._send_json(200, {"ok": True})
             else:
                 self._send_json(
                     404, {"error": f"unknown worker {m.group(1)}; re-register"}
                 )
-            return True
-        if self.path == "/cluster/lease":
+            return
+        if method == "POST" and self.path == "/cluster/lease":
             try:
                 worker_id = self._read_json()["worker"]
             except (ValueError, KeyError, TypeError) as exc:
                 self._send_json(400, {"error": f"bad lease request: {exc}"})
-                return True
+                return
             try:
                 leased = cluster.lease(worker_id)
             except KeyError:
                 self._send_json(
                     404, {"error": f"unknown worker {worker_id}; re-register"}
                 )
-                return True
+                return
             if leased is None:
                 self._send_empty(204)
             else:
                 self._send_json(200, leased)
-            return True
-        if self.path == "/cluster/complete":
+            return
+        if method == "POST" and self.path == "/cluster/complete":
             try:
                 body = self._read_json()
                 worker_id = body["worker"]
@@ -754,13 +804,16 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = body["payload"]
             except (ValueError, KeyError, TypeError) as exc:
                 self._send_json(400, {"error": f"bad completion: {exc}"})
-                return True
+                return
             accepted = cluster.complete(worker_id, job_id, payload)
             self._send_json(200, {"accepted": accepted})
-            return True
-        return False
+            return
+        self._send_json(404, {"error": f"no such route: {method} {self.path}"})
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        if self.path.startswith("/cluster"):
+            self._cluster("GET")
+            return
         if self.path == "/healthz":
             self._send_json(200, self.service.health())
             return
@@ -818,53 +871,17 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, record.snapshot())
             return
-        if self.path == "/cluster":
-            if self.service.cluster is None:
-                self._send_json(
-                    404, {"error": "not a cluster coordinator (no --journal)"}
-                )
-            else:
-                self._send_json(200, self.service.cluster.topology())
-            return
-        m = _CLUSTER_CACHE_PATH.match(self.path)
-        if m:
-            self._cluster_cache("GET", m.group(1))
-            return
         self._send_json(404, {"error": f"no such route: GET {self.path}"})
 
-    def _cluster_cache(self, method: str, key: str) -> None:
-        """Serve this node's shard of the cluster cache."""
-        from ..cluster.shard import serve_cache_route
-
-        try:
-            status, payload = serve_cache_route(
-                self.service.cache, method, key, self._read_json
-            )
-        except ValueError as exc:
-            status, payload = 400, {"error": str(exc)}
-        self._send_json(status, payload)
-
     def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        m = _CLUSTER_CACHE_PATH.match(self.path)
-        if m:
-            self._cluster_cache("PUT", m.group(1))
+        if self.path.startswith("/cluster"):
+            self._cluster("PUT")
             return
         self._send_json(404, {"error": f"no such route: PUT {self.path}"})
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        m = _CLUSTER_WORKER_PATH.match(self.path)
-        if m:
-            cluster = self.service.cluster
-            if cluster is None:
-                self._send_json(
-                    404, {"error": "not a cluster coordinator (no --journal)"}
-                )
-            elif cluster.detach_worker(m.group(1)):
-                self._send_json(200, {"id": m.group(1), "detached": True})
-            else:
-                self._send_json(
-                    404, {"error": f"unknown worker {m.group(1)}"}
-                )
+        if self.path.startswith("/cluster"):
+            self._cluster("DELETE")
             return
         m = _SESSION_PATH.match(self.path)
         if m:
@@ -924,30 +941,17 @@ def start_server(
 
 
 @contextlib.contextmanager
-def local_service(
-    workers: int = 0,
-    cache_capacity: int = 128,
-    cache_dir: Optional[str] = None,
-    receipt_dir: Optional[str] = None,
-    max_sessions: int = 16,
-    cluster: Optional["ClusterConfig"] = None,
-) -> Iterator[str]:
+def local_service(workers: int = 0, **options: Any) -> Iterator[str]:
     """Context manager: an ephemeral service; yields its base URL.
 
     Used by the harness (`run through the service`), the test suite, and
     CI smoke checks.  ``workers=0`` runs solves inline in the dispatcher
     thread — no process pool — which is the cheapest way to exercise the
-    cache path.  Passing ``cluster`` makes the service a coordinator
-    (see ``docs/cluster.md``).
+    cache path.  ``options`` are the other :class:`AnalysisService`
+    arguments; passing ``cluster`` makes the service a coordinator (see
+    ``docs/cluster.md``).
     """
-    service = AnalysisService(
-        workers=workers,
-        cache_capacity=cache_capacity,
-        cache_dir=cache_dir,
-        receipt_dir=receipt_dir,
-        max_sessions=max_sessions,
-        cluster=cluster,
-    )
+    service = AnalysisService(workers=workers, **options)
     server, _thread = start_server(service)
     host, port = server.server_address[:2]
     try:
@@ -961,29 +965,19 @@ def local_service(
 def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
-    workers: int = 2,
-    cache_capacity: int = 128,
-    cache_dir: Optional[str] = None,
-    receipt_dir: Optional[str] = None,
     verbose: bool = False,
-    max_sessions: int = 16,
-    cluster: Optional["ClusterConfig"] = None,
+    **options: Any,
 ) -> int:
-    """Blocking entry point behind ``repro serve``."""
-    service = AnalysisService(
-        workers=workers,
-        cache_capacity=cache_capacity,
-        cache_dir=cache_dir,
-        receipt_dir=receipt_dir,
-        max_sessions=max_sessions,
-        cluster=cluster,
-    )
+    """Blocking entry point behind ``repro serve``; ``options`` are
+    :class:`AnalysisService` arguments."""
+    service = AnalysisService(**options)
     service.start()
     server = create_server(service, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
+    cache_dir, cluster = options.get("cache_dir"), options.get("cluster")
     print(
         f"repro service listening on http://{bound_host}:{bound_port} "
-        f"(workers={workers}, cache={cache_capacity}"
+        f"(workers={service.pool.workers}, cache={service.cache.capacity}"
         + (f", cache-dir={cache_dir}" if cache_dir else "")
         + (f", journal={cluster.journal}" if cluster is not None else "")
         + ")",

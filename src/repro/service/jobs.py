@@ -7,9 +7,10 @@ source, plus the analysis/introspection configuration and per-job budgets
 wall-clock guard).  A :class:`Job` wraps a spec with identity, lifecycle
 state, and timestamps; :class:`JobQueue` orders pending jobs by priority
 (higher first, FIFO within a priority) and supports cancellation of
-queued jobs.
+queued jobs.  A :class:`Lease` is a running job held by one worker.
 
-Lifecycle::
+Lifecycle (:meth:`JobQueue.pop` makes a job ``running`` under the queue
+lock, so a cancel either wins before the pop or is refused)::
 
     queued -> running -> done | timeout | error
          \\-> cancelled
@@ -32,7 +33,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..contexts.policies import policy_by_name
 from ..introspection.heuristics import heuristic_from_spec
 
-__all__ = ["Job", "JobQueue", "JobSpec", "JobState", "TERMINAL_STATES"]
+__all__ = ["Job", "JobQueue", "JobSpec", "JobState", "Lease", "NODE_ID",
+           "TERMINAL_STATES"]
+
+#: The worker id under which a service runs jobs itself; in coordinator
+#: mode it is also the coordinator's node id on the cache ring.
+NODE_ID = "coordinator"
 
 
 class JobState:
@@ -178,7 +184,6 @@ class Job:
     error: Optional[str] = None
     result: Optional[Dict[str, Any]] = None
     cached: bool = False
-    cancel_requested: bool = False
 
     @property
     def terminal(self) -> bool:
@@ -258,18 +263,22 @@ class JobQueue:
         self._stale = 0  # cancelled entries still sitting in _heap
 
     def put(self, job: Job) -> None:
+        """Queue a new job, or put a popped one back."""
         with self._not_empty:
+            job.state = JobState.QUEUED
             heapq.heappush(self._heap, (-job.spec.priority, next(self._seq), job))
             self._not_empty.notify()
 
     def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Next queued job, or None if the wait times out."""
+        """Next queued job, now ``running``; None if the wait times out."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._not_empty:
             while True:
                 while self._heap:
                     _, _, job = heapq.heappop(self._heap)
                     if job.state == JobState.QUEUED:
+                        job.state = JobState.RUNNING
+                        job.mark_started()
                         return job
                     if self._stale:
                         self._stale -= 1
@@ -287,7 +296,6 @@ class JobQueue:
             if job.state != JobState.QUEUED:
                 return False
             job.state = JobState.CANCELLED
-            job.cancel_requested = True
             job.mark_finished()
             self._stale += 1
             if self._stale > len(self._heap) // 2:
@@ -311,3 +319,14 @@ class JobQueue:
             return sum(
                 1 for _, _, job in self._heap if job.state == JobState.QUEUED
             )
+
+
+@dataclass
+class Lease:
+    """A running job held by one worker, keyed for its cache fill."""
+
+    job: Job
+    worker_id: str
+    key: str  # result-cache content key
+    digest: str  # facts digest (the shard routing key)
+    granted_mono: float = field(default_factory=time.monotonic)

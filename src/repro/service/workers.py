@@ -18,7 +18,13 @@ introspective job on the same program, so subsequent jobs reuse it
 
 :class:`WorkerPool` wraps the executor with a configurable worker count
 and graceful shutdown; ``workers=0`` selects an inline (same-process)
-mode used by tests and by very small deployments.
+mode used by tests and by very small deployments.  A worker process that
+dies outright (SIGKILL, the OOM killer) breaks its executor: the job in
+flight ends ``error`` and the pool replaces the executor before it takes
+the next job.
+
+:func:`encode_spec` is the one build → encode → digest step behind every
+content key (job claims and ``POST /queries`` batches).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import traceback
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from typing import Any, Dict, Optional, Tuple
 
@@ -41,8 +48,9 @@ from ..ir.program import Program
 from ..obs import Tracer
 from ..utils import Stopwatch
 from .jobs import JobSpec, JobState
+from .telemetry import Counter
 
-__all__ = ["WorkerPool", "execute_job"]
+__all__ = ["WorkerPool", "encode_spec", "execute_job"]
 
 #: Per-process LRU of insensitive pass-1 results, keyed by facts digest.
 _PASS1_CACHE: "OrderedDict[str, AnalysisResult]" = OrderedDict()
@@ -62,6 +70,13 @@ def _build_program(spec: JobSpec, tracer: Optional[Tracer]) -> Program:
             return build_benchmark(spec.benchmark)
     assert spec.source is not None
     return parse_source(spec.source, tracer=tracer)
+
+
+def encode_spec(spec: JobSpec) -> Tuple[Program, FactBase, str]:
+    """Build, encode and digest a spec: ``(program, facts, digest)``."""
+    program = _build_program(spec, None)
+    facts = encode_program(program)
+    return program, facts, facts.digest()
 
 
 def _pass1(
@@ -255,12 +270,19 @@ def execute_job(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class WorkerPool:
-    """Process pool running :func:`execute_job`; ``workers=0`` is inline."""
+    """Process pool running :func:`execute_job`; ``workers=0`` is inline.
 
-    def __init__(self, workers: int = 2) -> None:
+    A broken executor is replaced (and counted in ``restarts``) by the
+    next :meth:`submit`.
+    """
+
+    def __init__(
+        self, workers: int = 2, restarts: Optional[Counter] = None
+    ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
+        self._restarts = restarts
         self._executor: Optional[ProcessPoolExecutor] = (
             ProcessPoolExecutor(max_workers=workers) if workers else None
         )
@@ -271,12 +293,22 @@ class WorkerPool:
         return self.workers or 1
 
     def submit(self, spec_payload: Dict[str, Any]) -> "Future[Dict[str, Any]]":
-        if self._executor is not None:
+        if self._executor is None:
+            future: "Future[Dict[str, Any]]" = Future()
+            future.set_result(execute_job(spec_payload))
+            return future
+        try:
             return self._executor.submit(execute_job, spec_payload)
-        future: "Future[Dict[str, Any]]" = Future()
-        future.set_result(execute_job(spec_payload))
-        return future
+        except BrokenProcessPool:
+            # A worker process died (SIGKILL, the OOM killer) and took
+            # the executor with it: replace it before this job.
+            self._executor.shutdown(wait=False)
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            if self._restarts is not None:
+                self._restarts.inc()
+            return self._executor.submit(execute_job, spec_payload)
 
     def shutdown(self, wait: bool = True) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=wait)
+

@@ -7,14 +7,19 @@ makes worker-loss interleavings deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.cluster import Backpressure, ClusterConfig
 from repro.cluster.journal import JobJournal, read_journal
-from repro.service import AnalysisService, JobSpec, JobState
+from repro.service import AnalysisService, JobSpec, JobState, api
+from repro.service.api import create_server
+from repro.service.client import ServiceClient, ServiceError
 
 
 def make_service(tmp_path, **overrides) -> AnalysisService:
@@ -261,6 +266,156 @@ class TestLeases:
             service.stop()
 
 
+@contextlib.contextmanager
+def http(service: AnalysisService):
+    """Serve ``service`` over HTTP without starting its dispatcher."""
+    server = create_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield ServiceClient(f"http://{host}:{port}")
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.stop()
+
+
+def delete_status(client: ServiceClient, job_id: str) -> int:
+    try:
+        client.cancel(job_id)
+    except ServiceError as exc:
+        return exc.status
+    return 200
+
+
+class TestCancelRaceOnLease:
+    """A DELETE after ``/cluster/lease`` popped the job gets 409, and the
+    job reaches exactly one terminal state."""
+
+    def _finish(self, service, client, worker_id, leased):
+        accepted = client._request(
+            "POST",
+            "/cluster/complete",
+            {
+                "worker": worker_id,
+                "job_id": leased["job_id"],
+                "payload": done_payload(leased["facts_digest"]),
+            },
+        )
+        assert accepted == {"accepted": True}
+        job = service.job(leased["job_id"])
+        assert job.state == JobState.DONE
+        assert service._m_jobs.value(state=JobState.DONE) == 1
+        assert service._m_jobs.value(state=JobState.CANCELLED) == 0
+
+    def test_delete_right_after_pop_is_refused(self, tmp_path, monkeypatch):
+        service = make_service(tmp_path)
+        statuses = []
+        real_pop = service.queue.pop
+
+        def pop_then_delete(timeout=None):
+            job = real_pop(timeout)
+            if job is not None and not statuses:
+                statuses.append(delete_status(client, job.id))
+            return job
+
+        monkeypatch.setattr(service.queue, "pop", pop_then_delete)
+        with http(service) as client:
+            worker = service.cluster.register_worker("http://127.0.0.1:9")
+            job_id = client.submit(benchmark="antlr", analysis="insens")
+            leased = client._request(
+                "POST", "/cluster/lease", {"worker": worker["id"]}
+            )
+            assert leased["job_id"] == job_id
+            assert statuses == [409]
+            self._finish(service, client, worker["id"], leased)
+
+    def test_delete_during_build_is_refused(self, tmp_path, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        real_encode = api.encode_spec
+
+        def slow_encode(spec):
+            entered.set()
+            release.wait(30)
+            return real_encode(spec)
+
+        monkeypatch.setattr(api, "encode_spec", slow_encode)
+        service = make_service(tmp_path)
+        with http(service) as client:
+            worker = service.cluster.register_worker("http://127.0.0.1:9")
+            job_id = client.submit(benchmark="antlr", analysis="insens")
+            answers = []
+            lease_call = threading.Thread(
+                target=lambda: answers.append(
+                    client._request(
+                        "POST", "/cluster/lease", {"worker": worker["id"]}
+                    )
+                )
+            )
+            lease_call.start()
+            assert entered.wait(30)
+            assert delete_status(client, job_id) == 409
+            release.set()
+            lease_call.join(30)
+            (leased,) = answers
+            assert leased["job_id"] == job_id
+            self._finish(service, client, worker["id"], leased)
+
+
+class TestLeaseStress:
+    def test_every_job_ends_exactly_once_under_contention(self, tmp_path):
+        """Eight workers lease and complete while a ninth thread cancels
+        every job: each job reaches one terminal state, counted once, and
+        the lease table drains."""
+        service = make_service(tmp_path)
+        jobs = [
+            service.submit(make_spec(analysis=flavor))
+            for flavor in ("insens", "1call", "1obj", "2objH") * 6
+        ]
+        workers = [
+            service.cluster.register_worker(f"http://127.0.0.1:{9 + i}")["id"]
+            for i in range(8)
+        ]
+        cancelled = []
+
+        def pull(worker_id):
+            while True:
+                leased = service.cluster.lease(worker_id)
+                if leased is None:
+                    return
+                service.cluster.complete(
+                    worker_id,
+                    leased["job_id"],
+                    done_payload(leased["facts_digest"]),
+                )
+
+        def cancel_all():
+            cancelled.extend(job for job in jobs if service.cancel(job.id))
+
+        threads = [threading.Thread(target=pull, args=(w,)) for w in workers]
+        threads.append(threading.Thread(target=cancel_all))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(job.terminal for job in jobs)
+        assert service._m_jobs.total() == len(jobs)
+        assert service._m_jobs.value(state=JobState.CANCELLED) == len(
+            cancelled
+        )
+        assert all(job.state == JobState.CANCELLED for job in cancelled)
+        assert service.leases() == {}
+        assert service._m_running.value() == 0
+
+
 class TestBackpressure:
     def test_queue_depth_cap(self, tmp_path):
         service = make_service(tmp_path, max_queue_depth=1)
@@ -310,5 +465,21 @@ class TestTopology:
             assert "coordinator" in topo["ring_nodes"]
             assert topo["journal"]["records"] == 1
             assert topo["journal"]["bytes"] > 0
+        finally:
+            service.stop()
+
+    def test_local_jobs_show_as_coordinator_leases(self, tmp_path):
+        service = make_service(tmp_path)
+        try:
+            job = service.submit(make_spec())
+            lease = service.claim(service.pop(timeout=0), "coordinator")
+            (lease_snap,) = service.cluster.topology()["leases"]
+            assert lease_snap["job_id"] == job.id
+            assert lease_snap["worker"] == "coordinator"
+            # Health and the lease gauge count remote leases only.
+            assert service.cluster.lease_count() == 0
+            assert service.complete(lease, done_payload(lease.digest))
+            assert service.cluster.topology()["leases"] == []
+            assert job.result["worker"]["name"] == "local"
         finally:
             service.stop()

@@ -7,11 +7,12 @@ a :func:`local_service` coordinator — the same wiring the CI
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
-from repro.cluster import ClusterConfig, WorkerNode
+from repro.cluster import ClusterConfig, WorkerNode, worker as worker_module
 from repro.cluster.worker import _http_json
 from repro.service import ServiceClient, ServiceError
 from repro.service.api import local_service
@@ -203,3 +204,30 @@ class TestClusterEndToEnd:
                     assert snapshot["state"] == "done"
             finally:
                 node.stop()
+
+
+def test_reports_to_a_down_coordinator_are_counted(tmp_path, monkeypatch):
+    """A completion and a detach that cannot reach the coordinator are
+    counted in the worker's health, not dropped silently."""
+    started, release = threading.Event(), threading.Event()
+
+    def blocked_execute(spec):
+        started.set()
+        release.wait(30)
+        return {"state": "done"}
+
+    monkeypatch.setattr(worker_module, "execute_job", blocked_execute)
+    config = ClusterConfig(journal=str(tmp_path / "journal.jsonl"))
+    with local_service(workers=0, cluster=config) as url:
+        node = start_worker(url)
+        ServiceClient(url).submit(benchmark="antlr", analysis="insens")
+        assert started.wait(30)
+    # The coordinator is down now; the job in hand finishes anyway.
+    try:
+        release.set()
+        assert wait_until(lambda: node.health()["failed_completions"] == 1)
+    finally:
+        node.stop()
+    health = node.health()
+    assert health["failed_completions"] == 1
+    assert health["failed_detaches"] == 1
