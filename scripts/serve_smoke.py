@@ -3,12 +3,14 @@
 
 * start ``python -m repro.cli serve --port 0 --workers 1`` as a child;
 * a cold job must end ``done`` and its replay must be a cache hit
-  (hits 1, misses 1);
+  (hits 1, misses 1) keyed from the spec -> digest memo (one program
+  build between them);
 * SIGKILL the pool's worker process while it solves a slow job: that
   job must end ``error``, the next job must end ``done`` on a replaced
   pool (``repro_service_pool_restarts_total`` 1), nothing may be left
   counted as running, and the cache counters must have moved only by
-  the two misses.
+  the two misses; the builds counter reads 2 (jython once, and the last
+  antlr job reuses antlr's digest).
 
 Exit code 0 on success; any assertion failure or timeout is fatal.  The
 server's log goes to the file named by ``--log`` (default: a temp file).
@@ -90,6 +92,7 @@ def main():
         assert client.result(again)["cached"] is True
         assert client.metric_value("repro_service_cache_hits_total") == 1
         assert client.metric_value("repro_service_cache_misses_total") == 1
+        assert client.metric_value("repro_service_spec_builds_total") == 1
 
         (pool_worker,) = children(proc.pid)
         slow = client.submit(**SLOW)
@@ -110,6 +113,7 @@ def main():
         assert client.metric_value("repro_service_pool_restarts_total") == 1
         assert client.metric_value("repro_service_cache_hits_total") == 1
         assert client.metric_value("repro_service_cache_misses_total") == 3
+        assert client.metric_value("repro_service_spec_builds_total") == 2
     finally:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()

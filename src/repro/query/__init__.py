@@ -10,7 +10,13 @@ See :mod:`repro.query.planner` for the slice-closure semantics and
 ``docs/queries.md`` for the CLI/HTTP surfaces.
 """
 
-from .engine import QUERY_FLAVORS, QueryAnswer, QueryEngine, QueryOutcome
+from .engine import (
+    QUERY_FLAVORS,
+    QueryAnswer,
+    QueryEngine,
+    QueryOutcome,
+    check_flavor,
+)
 from .planner import SLICED_RELATIONS, QueryPlanner, SlicePlan
 
 __all__ = [
@@ -21,4 +27,5 @@ __all__ = [
     "QueryPlanner",
     "SLICED_RELATIONS",
     "SlicePlan",
+    "check_flavor",
 ]

@@ -46,7 +46,13 @@ from ..facts.encoder import FactBase, encode_program
 from ..ir.program import Program
 from .planner import QueryPlanner, SlicePlan
 
-__all__ = ["QueryAnswer", "QueryOutcome", "QueryEngine", "QUERY_FLAVORS"]
+__all__ = [
+    "QueryAnswer",
+    "QueryOutcome",
+    "QueryEngine",
+    "QUERY_FLAVORS",
+    "check_flavor",
+]
 
 #: Flavors every engine answers (any ``policy_by_name`` name also works).
 QUERY_FLAVORS = (
@@ -57,6 +63,24 @@ QUERY_FLAVORS = (
     "introspective-A",
     "introspective-B",
 )
+
+_INTROSPECTIVE = "introspective-"
+
+
+def check_flavor(flavor: str) -> None:
+    """Raise ``ValueError`` unless ``flavor`` names a query flavor.
+
+    Needs no program: callers validate a request before paying for an
+    engine.
+    """
+    if flavor.startswith(_INTROSPECTIVE):
+        if flavor[len(_INTROSPECTIVE):] not in ("A", "B"):
+            raise ValueError(
+                f"unknown introspective flavor {flavor!r}; "
+                f"expected introspective-A or introspective-B"
+            )
+    else:
+        policy_by_name(flavor, alloc_class_of=str)
 
 
 @dataclass(frozen=True)
@@ -163,19 +187,14 @@ class QueryEngine:
         cached = self._policies.get(flavor)
         if cached is not None:
             return cached
-        if flavor.startswith("introspective-"):
+        if flavor.startswith(_INTROSPECTIVE):
             from ..contexts.introspective import IntrospectivePolicy
             from ..introspection import HeuristicA, HeuristicB, compute_metrics
 
-            heur_name = flavor[len("introspective-"):]
+            check_flavor(flavor)
             heuristics = {"A": HeuristicA, "B": HeuristicB}
-            if heur_name not in heuristics:
-                raise ValueError(
-                    f"unknown introspective flavor {flavor!r}; "
-                    f"expected introspective-A or introspective-B"
-                )
             metrics = compute_metrics(self.insens, self.facts)
-            decision = heuristics[heur_name]().decide(
+            decision = heuristics[flavor[len(_INTROSPECTIVE):]]().decide(
                 metrics, self.facts, self.insens
             )
             refined = policy_by_name(

@@ -7,11 +7,14 @@
 :class:`~repro.service.telemetry.Registry`.
 
 Every running job is a :class:`~repro.service.jobs.Lease` in one table.
-``claim`` computes a popped job's content key (build + encode + digest,
-cheap relative to a solve) and answers cache hits and build errors on the
-spot; ``complete`` fills the cache and finalizes the job.  The dispatcher
-thread holds leases for the in-process pool; in coordinator mode remote
-workers hold them through ``/cluster/lease`` and ``/cluster/complete``.
+``claim`` computes a popped job's content key and answers cache hits and
+build errors on the spot; ``complete`` fills the cache and finalizes the
+job.  The key needs the facts digest of the job's program, which a
+spec -> digest memo answers without a build for any program the service
+has built before (``POST /queries`` batches share the memo).  The
+dispatcher thread holds leases for the in-process pool; in coordinator
+mode remote workers hold them through ``/cluster/lease`` and
+``/cluster/complete``.
 
 The HTTP layer is a stdlib :class:`~http.server.ThreadingHTTPServer`
 speaking JSON, mirroring the submit/poll shape of builder-style services:
@@ -64,7 +67,7 @@ from .cache import ResultCache, cache_key
 from .jobs import NODE_ID, Job, JobQueue, JobSpec, JobState, Lease
 from .sessions import SessionError, SessionStore
 from .telemetry import Registry
-from .workers import WorkerPool, encode_spec
+from .workers import WorkerPool, build_spec, encode_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.coordinator import ClusterConfig
@@ -157,6 +160,14 @@ class AnalysisService:
             "repro_service_pool_restarts_total",
             "Worker-process pools replaced after a worker process died.",
         )
+        self._m_spec_builds = t.counter(
+            "repro_service_spec_builds_total",
+            "Programs built and encoded to key a job or serve a query batch.",
+        )
+        self._m_disk_errors = t.counter(
+            "repro_service_cache_disk_errors_total",
+            "Result-cache disk-tier entries that failed, by op.",
+        )
 
         self.queue = JobQueue()
         self.pool = WorkerPool(workers, restarts=self._m_pool_restarts)
@@ -165,6 +176,7 @@ class AnalysisService:
             cache_dir=cache_dir,
             hits=self._m_cache_hits,
             misses=self._m_cache_misses,
+            disk_errors=self._m_disk_errors,
         )
         self._m_workers.set(workers)
         self.sessions = SessionStore(max_sessions=max_sessions)
@@ -180,6 +192,11 @@ class AnalysisService:
         # The lease table: every running job, by job id, whoever runs it.
         self._leases: Dict[str, Lease] = {}
         self._leases_lock = threading.Lock()
+        # Spec -> facts digest, LRU and bounded like the result cache's
+        # memory tier.  Only hex digests: a hit keys a job or a query
+        # batch without building its program.
+        self._digests: "OrderedDict[str, str]" = OrderedDict()
+        self._digests_lock = threading.Lock()
         # Warm demand-query engines, LRU by facts digest (each one holds
         # an insensitive pass + memo tables; see repro.query).
         self._engines: "OrderedDict[str, Any]" = OrderedDict()
@@ -278,15 +295,58 @@ class AnalysisService:
         with self._leases_lock:
             return dict(self._leases)
 
+    # ------------------------------------------------------------------
+    # The spec -> digest memo
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _program_selector(spec: JobSpec) -> str:
+        """A spec's program, by name: its benchmark, or its source hash."""
+        if spec.benchmark is not None:
+            return f"benchmark:{spec.benchmark}"
+        assert spec.source is not None
+        return "source:" + hashlib.sha256(spec.source.encode()).hexdigest()
+
+    def _recall_digest(self, spec: JobSpec) -> Optional[str]:
+        selector = self._program_selector(spec)
+        with self._digests_lock:
+            digest = self._digests.get(selector)
+            if digest is not None:
+                self._digests.move_to_end(selector)
+            return digest
+
+    def _remember_digest(self, spec: JobSpec, digest: str) -> None:
+        selector = self._program_selector(spec)
+        with self._digests_lock:
+            self._digests[selector] = digest
+            self._digests.move_to_end(selector)
+            while len(self._digests) > self.cache.capacity:
+                self._digests.popitem(last=False)
+
+    def _spec_digest(self, spec: JobSpec) -> str:
+        """The facts digest of ``spec``'s program; builds on a memo miss.
+
+        Sound because a program is a pure function of its benchmark name
+        or source text within one process.  A build that raises is not
+        memoized, so the spec fails the same way next time.
+        """
+        digest = self._recall_digest(spec)
+        if digest is None:
+            self._m_spec_builds.inc()
+            _program, _facts, digest = encode_spec(spec)
+            self._remember_digest(spec, digest)
+        return digest
+
     def claim(self, job: Job, worker_id: str) -> Optional[Lease]:
         """Lease a popped job to ``worker_id``, or answer it on the spot.
 
-        The content key costs one build -> encode -> digest.  A cache hit
-        and a spec that does not build are finalized here (None is
-        returned); any other job is recorded as ``worker_id``'s lease.
+        The content key costs one memo lookup, plus one build -> encode
+        -> digest the first time the service sees the job's program.  A
+        cache hit and a spec that does not build are finalized here
+        (None is returned); any other job is recorded as ``worker_id``'s
+        lease.
         """
         try:
-            _program, _facts, digest = encode_spec(job.spec)
+            digest = self._spec_digest(job.spec)
             key = cache_key(digest, job.spec)
             if self.cluster is not None:
                 cached = self.cluster.shard.get(key, digest)
@@ -456,21 +516,27 @@ class AnalysisService:
     #: pass; mirrors the worker pool's pass-1 cache limit).
     _ENGINE_CACHE_LIMIT = 4
 
-    def _query_engine(self, program: Any, facts: Any, digest: str) -> Any:
-        with self._engines_lock:
-            engine = self._engines.get(digest)
-            if engine is not None:
-                self._engines.move_to_end(digest)
-                return engine
+    def _query_engine(self, spec: JobSpec, digest: Optional[str]) -> Any:
+        """The warm engine for ``digest``, else a new one built from
+        ``spec`` (which also remembers the digest it computes)."""
+        if digest is not None:
+            with self._engines_lock:
+                engine = self._engines.get(digest)
+                if engine is not None:
+                    self._engines.move_to_end(digest)
+                    return engine
         from ..query import QueryEngine
 
-        engine = QueryEngine(program, facts=facts)  # pays the insens pass
+        self._m_spec_builds.inc()
+        program, facts = build_spec(spec)
+        engine = QueryEngine(program, facts=facts)  # insens pass + digest
+        self._remember_digest(spec, engine.digest)
         with self._engines_lock:
-            self._engines.setdefault(digest, engine)
-            self._engines.move_to_end(digest)
+            self._engines.setdefault(engine.digest, engine)
+            self._engines.move_to_end(engine.digest)
             while len(self._engines) > self._ENGINE_CACHE_LIMIT:
                 self._engines.popitem(last=False)
-            return self._engines[digest]
+            return self._engines[engine.digest]
 
     def run_queries(self, payload: Any) -> Dict[str, Any]:
         """Answer one ``POST /queries`` batch; raises ``ValueError`` on 400s.
@@ -479,6 +545,8 @@ class AnalysisService:
         response caches in the ordinary :class:`ResultCache` tiers under
         a content key of ``(facts digest, flavor, vars, budgets)``, and a
         per-query blown budget lands in its answer slot — it fails alone.
+        The facts digest comes from the spec -> digest memo; the program
+        is built only when no warm engine for that digest exists.
         """
         if not isinstance(payload, dict):
             raise ValueError("payload must be a JSON object")
@@ -509,10 +577,19 @@ class AnalysisService:
         source = payload.get("source")
         if (benchmark is None) == (source is None):
             raise ValueError("exactly one of benchmark or source is required")
+        if not isinstance(benchmark if source is None else source, str):
+            raise ValueError("benchmark and source must be strings")
+        spec = JobSpec(benchmark=benchmark, source=source)  # names checked
+        from ..query import check_flavor
 
-        program, facts, digest = encode_spec(
-            JobSpec(benchmark=benchmark, source=source)
-        )
+        check_flavor(flavor)  # before any build: a bad flavor is a 400
+
+        digest = self._recall_digest(spec)
+        engine = None
+        if digest is None:
+            # First sight of this program: the new engine hashes the facts.
+            engine = self._query_engine(spec, None)
+            digest = engine.digest
         key = hashlib.sha256(
             json.dumps(
                 {
@@ -532,8 +609,8 @@ class AnalysisService:
             cached["cached"] = True
             return cached
 
-        engine = self._query_engine(program, facts, digest)
-        engine.policy(flavor)  # unknown flavor -> ValueError -> 400
+        if engine is None:
+            engine = self._query_engine(spec, digest)
         with self._query_lock:
             outcomes = engine.query_batch(
                 variables, flavor, max_tuples=max_tuples, max_seconds=max_seconds

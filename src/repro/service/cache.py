@@ -13,7 +13,9 @@ Two tiers: an in-memory LRU (fast, per-process) and an optional disk tier
 service instances).  Disk hits are promoted into memory.  Both ``done``
 and ``timeout`` results are cacheable — a budget trip is deterministic
 for a given (facts, analysis, budget) triple, so replaying it would only
-burn a worker to reach the same answer.
+burn a worker to reach the same answer.  The disk tier is best-effort: a
+failed write or an unreadable entry costs only that entry, and is
+counted in ``disk_errors`` by ``op`` (``write`` / ``read``).
 
 The *first-pass* cache for introspective jobs lives in the worker
 processes (see :mod:`repro.service.workers`): pass-1 results hold interned
@@ -74,6 +76,7 @@ class ResultCache:
         cache_dir: Optional[str] = None,
         hits: Optional[Counter] = None,
         misses: Optional[Counter] = None,
+        disk_errors: Optional[Counter] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
@@ -88,6 +91,7 @@ class ResultCache:
         self._generation = 0
         self._hits = hits
         self._misses = misses
+        self._disk_errors = disk_errors
 
     def __len__(self) -> int:
         with self._lock:
@@ -120,6 +124,10 @@ class ResultCache:
             self._misses.inc()
         return None
 
+    def _disk_error(self, op: str) -> None:
+        if self._disk_errors is not None:
+            self._disk_errors.inc(op=op)
+
     def _load_disk(self, key: str) -> Optional[Dict[str, Any]]:
         """Read one disk-tier entry (None on miss or unreadable file)."""
         path = self._disk_path(key)
@@ -127,9 +135,14 @@ class ResultCache:
             return None
         try:
             payload = json.loads(path.read_text())
+        except FileNotFoundError:
+            return None  # a concurrent clear() removed it: a plain miss
         except (OSError, ValueError):
+            payload = None
+        if not isinstance(payload, dict):
+            self._disk_error("read")
             return None
-        return payload if isinstance(payload, dict) else None
+        return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         self._store_memory(key, payload)
@@ -145,7 +158,8 @@ class ResultCache:
                 os.replace(tmp, path)
                 tmp = None
             except (OSError, TypeError, ValueError):
-                pass  # disk tier is best-effort; memory tier already holds it
+                # Best-effort: the memory tier already holds the entry.
+                self._disk_error("write")
             finally:
                 # Never leave *.tmp debris behind: a failed dump (full
                 # disk, unserializable payload) must not leak files into

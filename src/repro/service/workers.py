@@ -24,7 +24,11 @@ flight ends ``error`` and the pool replaces the executor before it takes
 the next job.
 
 :func:`encode_spec` is the one build → encode → digest step behind every
-content key (job claims and ``POST /queries`` batches).
+content key.  The service calls it only when its spec → digest memo
+misses (see :class:`~repro.service.api.AnalysisService`), so a replayed
+job or query batch keys itself without a build; :func:`build_spec` is
+the same build → encode without the digest, for callers that hash the
+facts elsewhere (a new :class:`~repro.query.QueryEngine` does).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from ..utils import Stopwatch
 from .jobs import JobSpec, JobState
 from .telemetry import Counter
 
-__all__ = ["WorkerPool", "encode_spec", "execute_job"]
+__all__ = ["WorkerPool", "build_spec", "encode_spec", "execute_job"]
 
 #: Per-process LRU of insensitive pass-1 results, keyed by facts digest.
 _PASS1_CACHE: "OrderedDict[str, AnalysisResult]" = OrderedDict()
@@ -72,10 +76,20 @@ def _build_program(spec: JobSpec, tracer: Optional[Tracer]) -> Program:
     return parse_source(spec.source, tracer=tracer)
 
 
-def encode_spec(spec: JobSpec) -> Tuple[Program, FactBase, str]:
-    """Build, encode and digest a spec: ``(program, facts, digest)``."""
+def build_spec(spec: JobSpec) -> Tuple[Program, FactBase]:
+    """Build and encode a spec: ``(program, facts)``."""
     program = _build_program(spec, None)
-    facts = encode_program(program)
+    return program, encode_program(program)
+
+
+def encode_spec(spec: JobSpec) -> Tuple[Program, FactBase, str]:
+    """Build, encode and digest a spec: ``(program, facts, digest)``.
+
+    The digest is a pure function of the spec's benchmark name or source
+    text within one process (the generator is seeded, the parser is
+    pure), which is what lets the service memoize it per spec.
+    """
+    program, facts = build_spec(spec)
     return program, facts, facts.digest()
 
 

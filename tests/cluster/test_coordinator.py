@@ -363,6 +363,33 @@ class TestCancelRaceOnLease:
             self._finish(service, client, worker["id"], leased)
 
 
+class TestDigestMemoOnLease:
+    def test_lease_of_a_memoized_spec_builds_nothing(self, tmp_path):
+        """A second configuration of a program the coordinator already
+        keyed is leased on a memo hit: no build, the same digest."""
+        service = make_service(tmp_path)
+        with http(service) as client:
+            worker = service.cluster.register_worker("http://127.0.0.1:9")
+            lease = {"worker": worker["id"]}
+            client.submit(benchmark="antlr", analysis="insens")
+            first = client._request("POST", "/cluster/lease", lease)
+            assert service._m_spec_builds.value() == 1
+            client._request(
+                "POST",
+                "/cluster/complete",
+                {
+                    "worker": worker["id"],
+                    "job_id": first["job_id"],
+                    "payload": done_payload(first["facts_digest"]),
+                },
+            )
+            client.submit(benchmark="antlr", analysis="1call")
+            second = client._request("POST", "/cluster/lease", lease)
+            assert second["spec"]["analysis"] == "1call"
+            assert second["facts_digest"] == first["facts_digest"]
+            assert client.metric_value("repro_service_spec_builds_total") == 1
+
+
 class TestLeaseStress:
     def test_every_job_ends_exactly_once_under_contention(self, tmp_path):
         """Eight workers lease and complete while a ninth thread cancels

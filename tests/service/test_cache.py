@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 from repro import encode_program
 from repro.service.cache import ResultCache, cache_key
 from repro.service.jobs import JobSpec
@@ -160,6 +163,30 @@ class TestDiskTier:
         assert not list(tmp_path.glob("*.tmp"))
         # The memory tier still holds both entries (disk is best-effort).
         assert cache.get("k1") == {"v": 1}
+
+    def test_disk_errors_are_counted_by_op(self, tmp_path, monkeypatch):
+        reg = Registry()
+        errors = reg.counter("disk_errors", "e")
+        cache = ResultCache(
+            capacity=4, cache_dir=str(tmp_path), disk_errors=errors
+        )
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("repro.service.cache.os.replace", full_disk)
+        cache.put("k1", {"v": 1})
+        monkeypatch.undo()
+        assert errors.value(op="write") == 1
+        assert not list(tmp_path.glob("*.tmp"))
+        assert cache.get("k1") == {"v": 1}  # the memory tier still has it
+
+        (tmp_path / "bad.json").write_text("{not json")
+        assert cache.get("bad") is None
+        assert errors.value(op="read") == 1
+        assert errors.value(op="write") == 1
+        assert cache.get("absent") is None  # a plain miss is no error
+        assert errors.total() == 2
 
     def test_concurrent_clear_does_not_resurrect_from_disk(
         self, tmp_path, monkeypatch

@@ -13,13 +13,14 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 
 from repro.service import api
 from repro.service.api import AnalysisService, local_service, start_server
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobState
+from repro.service.jobs import JobSpec, JobState
 
 CHEAP = {"benchmark": "antlr", "analysis": "insens"}
 #: About 1.5 s of solving on a 2-vCPU host: long enough to overlap.
@@ -161,3 +162,75 @@ def test_held_miss_goes_back_to_the_queue_on_stop():
     assert service.job(held).state == JobState.QUEUED
     assert service.queue.depth() == 1
     assert service.leases() == {}
+
+
+class TestDigestMemo:
+    """The spec -> digest memo: a replay keys itself without a build."""
+
+    def test_replay_claims_with_zero_builds(self):
+        service = AnalysisService(workers=0)
+        builds = service._m_spec_builds
+        with served(service) as client:
+            cold = client.submit(**CHEAP)
+            assert client.wait(cold, timeout=60)["state"] == JobState.DONE
+            assert builds.value() == 1
+            replay = client.submit(**CHEAP)
+            assert client.wait(replay, timeout=60)["state"] == JobState.DONE
+            assert builds.value() == 1
+            cold_result = client.result(cold)
+            replay_result = client.result(replay)
+        assert cold_result["cached"] is False
+        assert replay_result["cached"] is True
+        replayed = dict(replay_result["result"])
+        assert replayed.pop("cached") is True
+        assert replayed == cold_result["result"]
+
+    def test_failed_build_is_not_memoized(self):
+        service = AnalysisService(workers=0)
+        with served(service) as client:
+            for attempt in (1, 2):
+                job_id = client.submit(source="class {", analysis="insens")
+                snapshot = client.wait(job_id, timeout=60)
+                assert snapshot["state"] == JobState.ERROR
+                assert "SyntaxError" in snapshot["error"]
+                assert service._m_spec_builds.value() == attempt
+        assert service._digests == {}
+
+    def test_memo_is_bounded_by_cache_capacity(self):
+        """Eight threads key six programs through a two-entry memo: every
+        digest is right and the memo never holds more than two."""
+        sources = [
+            f"class Main {{ static method main() {{ x{i} = new Main(); }} }}"
+            for i in range(6)
+        ]
+        specs = [JobSpec(source=src, analysis="insens") for src in sources]
+        expected = [api.encode_spec(spec)[2] for spec in specs]
+        service = AnalysisService(workers=0, cache_capacity=2)
+        wrong, sizes = [], []
+
+        def key_all(offset):
+            for turn in range(12):
+                n = (offset + turn) % len(specs)
+                if service._spec_digest(specs[n]) != expected[n]:
+                    wrong.append(n)
+                with service._digests_lock:
+                    sizes.append(len(service._digests))
+
+        threads = [
+            threading.Thread(target=key_all, args=(i,)) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(sizes) == 8 * 12
+        assert max(sizes) <= 2
+        assert service._m_spec_builds.value() >= len(specs)

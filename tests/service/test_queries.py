@@ -9,7 +9,8 @@ import pytest
 
 from repro import analyze, encode_program
 from repro.frontend import parse_source
-from repro.service import AnalysisService, ServiceClient, local_service
+from repro.service import AnalysisService, JobSpec, ServiceClient, local_service
+from repro.service.api import start_server
 
 SOURCE = """
 class Box {
@@ -102,6 +103,7 @@ class TestQueriesRoute:
             {"source": SOURCE, "benchmark": "antlr", "vars": VARS},  # both
             {"source": SOURCE, "vars": []},  # empty batch
             {"source": SOURCE, "vars": VARS, "flavor": "introspective-C"},
+            {"source": SOURCE, "vars": VARS, "flavor": "bad-flavor"},
             {"source": SOURCE, "vars": VARS, "nope": 1},  # unknown field
             {"benchmark": "no-such-bench", "vars": VARS},
         ],
@@ -110,15 +112,31 @@ class TestQueriesRoute:
             "both-programs",
             "no-vars",
             "bad-flavor",
+            "bad-analysis-flavor",
             "unknown-field",
             "bad-benchmark",
         ],
     )
     def test_malformed_payloads_are_400(self, payload):
-        with local_service(workers=0) as url:
+        """Every reject is answered before the program is built: no
+        build is counted and no engine is cached."""
+        service = AnalysisService(workers=0)
+        server, _thread = start_server(service)
+        host, port = server.server_address[:2]
+        url = f"http://{host}:{port}"
+        try:
             status, body = _req(f"{url}/queries", "POST", payload)
             assert status == 400
             assert "error" in body
+            builds = ServiceClient(url).metric_value(
+                "repro_service_spec_builds_total"
+            )
+            assert builds == 0
+            assert not service._engines
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
 
     def test_query_metrics_are_exposed(self):
         with local_service(workers=0) as url:
@@ -147,6 +165,51 @@ class TestQueriesRoute:
             assert (
                 second["slice_memo_entries"] >= first["slice_memo_entries"]
             )  # ... but the same warm engine underneath
+        finally:
+            service.stop()
+
+    def test_cold_batch_builds_and_hashes_once(self, monkeypatch):
+        """A cold batch builds its program once and hashes its facts
+        once (the new engine's digest keys the response); a batch on
+        the warm engine and a replay build nothing."""
+        from repro.facts.encoder import FactBase
+
+        hashes = []
+        real_digest = FactBase.digest
+
+        def counting_digest(facts):
+            hashes.append(1)
+            return real_digest(facts)
+
+        monkeypatch.setattr(FactBase, "digest", counting_digest)
+        service = AnalysisService(workers=0)
+        builds = service._m_spec_builds
+        try:
+            payload = {"source": SOURCE, "vars": VARS, "flavor": "2objH"}
+            cold = service.run_queries(payload)
+            assert builds.value() == 1
+            assert len(hashes) == 1
+            warm = service.run_queries(dict(payload, flavor="insens"))
+            replay = service.run_queries(payload)
+            assert builds.value() == 1
+            assert len(hashes) == 1
+            assert warm["facts_digest"] == cold["facts_digest"]
+            assert replay["cached"] is True
+            assert replay["answers"] == cold["answers"]
+        finally:
+            service.stop()
+
+    def test_job_claim_seeds_the_digest_for_queries(self):
+        """A query batch on a program a job already keyed finds the
+        digest in the memo; it still builds once for its engine."""
+        service = AnalysisService(workers=0)
+        try:
+            job = service.submit(JobSpec(source=SOURCE, analysis="insens"))
+            service.claim(service.pop(timeout=0), "test")
+            assert service._m_spec_builds.value() == 1
+            body = service.run_queries({"source": SOURCE, "vars": VARS})
+            assert service._m_spec_builds.value() == 2
+            assert body["facts_digest"] == service.leases()[job.id].digest
         finally:
             service.stop()
 
